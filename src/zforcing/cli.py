@@ -192,8 +192,8 @@ def _cmd_perfect(args):
     return docs.perfect_document(g.n, args.mode, perfect), 0
 
 
-def _iter_graph6_lines(text: str):
-    for line in text.splitlines():
+def _iter_graph6_lines(lines):
+    for line in lines:
         line = line.strip()
         if line:
             yield parse_graph6(line)
@@ -210,10 +210,10 @@ def _cmd_verify(args):
     elif args.edges is not None:
         source = args.edges
         with open(args.edges) as fh:
-            summary = run_corpus(_iter_graph6_lines(fh.read()), args.mode)
+            summary = run_corpus(_iter_graph6_lines(fh), args.mode)
     else:
         source = "stdin"
-        summary = run_corpus(_iter_graph6_lines(sys.stdin.read()), args.mode)
+        summary = run_corpus(_iter_graph6_lines(sys.stdin), args.mode)
     elapsed_ms = (time.perf_counter() - start) * 1e3
     doc = docs.verify_document(summary, source, args.jobs, elapsed_ms)
     return doc, (1 if summary.failures else 0)

@@ -132,27 +132,32 @@ def from_edge_list(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
     return Graph._unchecked(n, tuple(rows))
 
 
-def _edge_pairs(n: int) -> list[tuple[int, int]]:
-    return [(i, j) for i in range(n) for j in range(i + 1, n)]
-
-
 def graph_from_edge_mask(n: int, mask: int) -> Graph:
     """Decode an edge bitmask: bit k of mask is edge number k in the
     lexicographic pair order (0,1),(0,2),..,(0,n-1),(1,2),.."""
-    pairs = _edge_pairs(n)
     if not 1 <= n <= MAX_VERTICES:
         raise ValueError(f"vertex count {n} outside 1..{MAX_VERTICES}")
-    if mask < 0 or mask >> len(pairs):
+    if mask < 0 or mask >> (n * (n - 1) // 2):
         raise ValueError(f"edge mask {mask} out of range for n={n}")
+    return next(_graphs_in_range(n, mask, mask + 1))
+
+
+def _graphs_in_range(n: int, lo: int, hi: int) -> Iterator[Graph]:
+    """The graphs of edge masks lo..hi-1, ascending. Consecutive masks share
+    most edges, so each step flips only the pairs in mask ^ prev."""
+    flips = [(i, 1 << j, j, 1 << i) for i, j in itertools.combinations(range(n), 2)]
     rows = [0] * n
-    m = mask
-    while m:
-        low = m & -m
-        m ^= low
-        i, j = pairs[low.bit_length() - 1]
-        rows[i] |= 1 << j
-        rows[j] |= 1 << i
-    return Graph._unchecked(n, tuple(rows))
+    prev = 0
+    for mask in range(lo, hi):
+        m = mask ^ prev
+        prev = mask
+        while m:
+            low = m & -m
+            m ^= low
+            i, bj, j, bi = flips[low.bit_length() - 1]
+            rows[i] ^= bj
+            rows[j] ^= bi
+        yield Graph._unchecked(n, tuple(rows))
 
 
 # ---------------------------------------------------------------------------
@@ -354,21 +359,9 @@ def enumerate_graphs(n: int, connected_only: bool = False) -> Iterator[Graph]:
     (pair order as in graph_from_edge_mask). Only sensible for tiny n."""
     if not 1 <= n <= 7:
         raise ValueError(f"enumeration supports 1..7 vertices, got {n}")
-    pairs = _edge_pairs(n)
-    full = (1 << n) - 1
-    for mask in range(1 << len(pairs)):
-        rows = [0] * n
-        m = mask
-        while m:
-            low = m & -m
-            m ^= low
-            i, j = pairs[low.bit_length() - 1]
-            rows[i] |= 1 << j
-            rows[j] |= 1 << i
-        rows = tuple(rows)
-        if connected_only and reach(rows, 1, full) != full:
-            continue
-        yield Graph._unchecked(n, rows)
+    for g in _graphs_in_range(n, 0, 1 << (n * (n - 1) // 2)):
+        if not connected_only or is_connected(g):
+            yield g
 
 
 # ---------------------------------------------------------------------------

@@ -1,18 +1,23 @@
 """Equality checks and exhaustive small-graph corpus runs.
 
-Three corpus modes: `theorem` solves every connected claw-free graph in
-the stream and demands equal standard and psd forcing numbers;
-`corollary` demands that having equal numbers on every induced subgraph
-coincide with claw-freeness; `monotonicity` demands the psd number never
-exceed the standard one. Failure lists carry graph6 strings.
+One engine, run_corpus, judges a stream of graphs under one of three
+modes: `theorem` solves every connected claw-free graph and demands equal
+standard and psd forcing numbers; `corollary` demands that having equal
+numbers on every induced subgraph coincide with claw-freeness;
+`monotonicity` demands the psd number never exceed the standard one.
+run_corpus_enumerated feeds the same engine every labeled graph on n
+vertices, decoded from consecutive edge masks, in one process or in
+chunks across several. Failure lists carry graph6 strings, in stream
+order; for enumerated corpora that is edge-mask order whatever the
+number of processes.
 """
 from __future__ import annotations
 
 import multiprocessing
 from dataclasses import dataclass, field
 
-from .graphs import (Graph, _edge_pairs, components, induced_subgraph,
-                     is_claw_free, is_connected, reach, to_graph6)
+from .graphs import (Graph, _graphs_in_range, components, induced_subgraph,
+                     is_claw_free, is_connected, to_graph6)
 from .forcing import Force, Rule, valid_forces
 from .solver import _search_min, forcing_number
 
@@ -109,7 +114,7 @@ def is_zz_perfect_direct(g: Graph) -> bool:
     return True
 
 
-def _examine_one(g: Graph, g6: str, mode: str, solve_all: bool,
+def _examine_one(g: Graph, mode: str, solve_all: bool,
                  summary: CorpusSummary) -> None:
     claw_free = is_claw_free(g)
     if claw_free:
@@ -120,20 +125,20 @@ def _examine_one(g: Graph, g6: str, mode: str, solve_all: bool,
             z, _, _ = _search_min(g.adj, g.n, Rule.STANDARD)
             zp, _, _ = _search_min(g.adj, g.n, Rule.PSD)
             if z != zp:
-                summary.failures.append(g6)
+                summary.failures.append(to_graph6(g))
         elif solve_all:
             if forcing_number(g, Rule.STANDARD).value != forcing_number(g, Rule.PSD).value:
-                summary.informational.append(g6)
+                summary.informational.append(to_graph6(g))
     elif mode == "corollary":
         summary.checked += 1
         if is_zz_perfect_direct(g) != claw_free:
-            summary.failures.append(g6)
+            summary.failures.append(to_graph6(g))
     else:  # monotonicity
         summary.checked += 1
         z, _, _ = _search_min(g.adj, g.n, Rule.STANDARD)
         zp, _, _ = _search_min(g.adj, g.n, Rule.PSD)
         if zp > z:
-            summary.failures.append(g6)
+            summary.failures.append(to_graph6(g))
 
 
 def run_corpus(graphs, mode: str, solve_all: bool = False) -> CorpusSummary:
@@ -144,79 +149,34 @@ def run_corpus(graphs, mode: str, solve_all: bool = False) -> CorpusSummary:
     summary = CorpusSummary(mode=mode)
     for g in graphs:
         summary.total += 1
-        g6 = to_graph6(g)
         try:
-            _examine_one(g, g6, mode, solve_all, summary)
+            _examine_one(g, mode, solve_all, summary)
         except ValueError as exc:
-            summary.errors.append(f"{g6}: {exc}")
+            summary.errors.append(f"{to_graph6(g)}: {exc}")
     return summary
-
-
-# ---------------------------------------------------------------------------
-# enumerated corpora: same semantics as run_corpus(enumerate_graphs(n), mode)
-# but over raw edge masks, with optional fan-out across worker processes
 
 
 def _corpus_range(n: int, lo: int, hi: int, mode: str) -> CorpusSummary:
-    pairs = _edge_pairs(n)
-    full = (1 << n) - 1
-    summary = CorpusSummary(mode=mode)
-    std = Rule.STANDARD
-    psd = Rule.PSD
-    for mask in range(lo, hi):
-        rows = [0] * n
-        m = mask
-        while m:
-            low = m & -m
-            m ^= low
-            i, j = pairs[low.bit_length() - 1]
-            rows[i] |= 1 << j
-            rows[j] |= 1 << i
-        rows = tuple(rows)
-        g = Graph._unchecked(n, rows)
-        summary.total += 1
-        if mode == "corollary":
-            try:
-                _examine_one(g, to_graph6(g), mode, False, summary)
-            except ValueError as exc:
-                summary.errors.append(f"{to_graph6(g)}: {exc}")
-            continue
-        claw_free = is_claw_free(g)
-        if claw_free:
-            summary.claw_free += 1
-        if mode == "theorem":
-            if not claw_free or reach(rows, 1, full) != full:
-                continue
-        summary.checked += 1
-        z, _, _ = _search_min(rows, n, std)
-        zp, _, _ = _search_min(rows, n, psd)
-        bad = (z != zp) if mode == "theorem" else (zp > z)
-        if bad:
-            summary.failures.append(to_graph6(g))
-    return summary
-
-
-def _corpus_range_star(args) -> CorpusSummary:
-    return _corpus_range(*args)
+    return run_corpus(_graphs_in_range(n, lo, hi), mode)
 
 
 def run_corpus_enumerated(n: int, mode: str, jobs: int = 1) -> CorpusSummary:
-    """Corpus run over all labeled graphs on n vertices in edge-mask order,
-    optionally split across processes. The merged summary is identical for
-    every jobs value."""
+    """run_corpus over all labeled graphs on n vertices in edge-mask order,
+    optionally split into chunks of consecutive masks across processes.
+    The merged summary is identical for every jobs value."""
     if not 1 <= n <= 7:
         raise ValueError(f"enumeration supports 1..7 vertices, got {n}")
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
     if jobs < 1:
         raise ValueError("jobs must be at least 1")
-    span = 1 << len(_edge_pairs(n))
+    span = 1 << (n * (n - 1) // 2)
     if jobs == 1 or span < 4 * jobs:
         return _corpus_range(n, 0, span, mode)
     chunk = -(-span // (4 * jobs))
     ranges = [(n, lo, min(lo + chunk, span), mode) for lo in range(0, span, chunk)]
     with multiprocessing.Pool(processes=jobs) as pool:
-        parts = pool.map(_corpus_range_star, ranges)
+        parts = pool.starmap(_corpus_range, ranges)
     merged = CorpusSummary(mode=mode)
     for part in parts:  # chunk order keeps failure lists deterministic
         merged.total += part.total

@@ -13,6 +13,13 @@ import itertools
 from zforcing import Graph
 
 
+def naive_edge_mask(g: Graph) -> int:
+    """Bit k set exactly when the k-th vertex pair in lexicographic order,
+    (0,1),(0,2),..,(1,2),.., is an edge."""
+    pairs = [(u, v) for u in range(g.n) for v in range(g.n) if u < v]
+    return sum(1 << k for k, (u, v) in enumerate(pairs) if g.has_edge(u, v))
+
+
 def nbrs(g: Graph) -> dict[int, set[int]]:
     return {v: {u for u in range(g.n) if g.adj[v] >> u & 1} for v in range(g.n)}
 

@@ -260,6 +260,26 @@ class TestVerify:
         assert doc["total"] == 1
         assert doc["source"] == "stdin"
 
+    def test_stdin_is_streamed_line_by_line(self, capsys, monkeypatch):
+        class LinesOnly:
+            # no read(): verify must iterate its input, not slurp it
+            def __init__(self, lines):
+                self.lines = lines
+
+            def __iter__(self):
+                return iter(self.lines)
+
+        good = [to_graph6(path_graph(4)) + "\n", "\n", to_graph6(complete_graph(3)) + "\n"]
+        monkeypatch.setattr("sys.stdin", LinesOnly(good))
+        code, doc, _ = run_cli(capsys, ["verify", "--mode", "theorem"])
+        assert code == 0
+        assert doc["total"] == 2
+        monkeypatch.setattr("sys.stdin", LinesOnly(good + ["not graph6\n"]))
+        code, doc, err = run_cli(capsys, ["verify", "--mode", "theorem"])
+        assert code == 2
+        assert doc is None
+        assert "error:" in err
+
     def test_bad_graph6_line_is_usage_error(self, capsys, monkeypatch):
         code, _, err = run_cli(
             capsys, ["verify"], stdin="not graph6\n", monkeypatch=monkeypatch)

@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from conftest import graphs, two_diamonds_graph
-from naive import naive_claws
+from naive import naive_claws, naive_edge_mask
 from zforcing import (
+    Graph,
     bits,
     complete_graph,
     components,
@@ -199,15 +200,12 @@ class TestEnumeration:
         assert sum(1 for _ in enumerate_graphs(4, connected_only=True)) == 38
 
     def test_order_is_edge_mask_ascending(self):
-        seen = [g for g in enumerate_graphs(3)]
-        masks = []
-        for g in seen:
-            mask = 0
-            for i, (u, v) in enumerate([(0, 1), (0, 2), (1, 2)]):
-                if g.has_edge(u, v):
-                    mask |= 1 << i
-            masks.append(mask)
-        assert masks == sorted(masks)
+        for n in range(1, 6):
+            seen = list(enumerate_graphs(n))
+            assert [naive_edge_mask(g) for g in seen] == list(range(1 << (n * (n - 1) // 2)))
+            for k, g in enumerate(seen):
+                assert Graph(n, g.adj) == g  # symmetric rows, no self-loops
+                assert graph_from_edge_mask(n, k) == g
 
     def test_range_check(self):
         with pytest.raises(ValueError):

@@ -146,10 +146,12 @@ class TestEnumeratedCorpus:
                 assert fast == slow
 
     def test_jobs_do_not_change_the_answer(self):
-        lone = run_corpus_enumerated(5, "theorem")
-        split = run_corpus_enumerated(5, "theorem", jobs=2)
-        assert isinstance(split, CorpusSummary)
-        assert split == lone
+        # jobs=2 splits the masks into chunks, most starting mid-range
+        for mode in ("theorem", "corollary", "monotonicity"):
+            lone = run_corpus_enumerated(5, mode)
+            split = run_corpus_enumerated(5, mode, jobs=2)
+            assert isinstance(split, CorpusSummary)
+            assert split == lone
 
     def test_argument_validation(self):
         with pytest.raises(ValueError):

@@ -3,9 +3,9 @@
 One subcommand per library operation; every run writes a single JSON
 document to stdout and diagnostics to stderr. Exit status 0 on success,
 1 when a verify mode's mandatory check fails, 2 on usage or input
-errors. Graph input precedence: --graph6 string, else --edges file,
-else standard input (edge-list format except for verify, which reads
-graph6 lines).
+errors, 3 on an internal error. Graph input precedence: --graph6
+string, else --edges file, else standard input (edge-list format except
+for verify, which reads graph6 lines).
 """
 from __future__ import annotations
 
@@ -81,7 +81,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=list(MODES), default="theorem")
     p.add_argument("--enumerate", type=int, metavar="N", dest="enumerate_n",
                    help="run over all labeled graphs on N vertices")
-    p.add_argument("--jobs", type=int, default=1)
     return parser
 
 
@@ -203,7 +202,7 @@ def _cmd_verify(args):
     start = time.perf_counter()
     if args.enumerate_n is not None:
         source = f"enumerate:{args.enumerate_n}"
-        summary = run_corpus_enumerated(args.enumerate_n, args.mode, args.jobs)
+        summary = run_corpus_enumerated(args.enumerate_n, args.mode)
     elif args.graph6 is not None:
         source = "graph6"
         summary = run_corpus([parse_graph6(args.graph6)], args.mode)
@@ -215,7 +214,7 @@ def _cmd_verify(args):
         source = "stdin"
         summary = run_corpus(_iter_graph6_lines(sys.stdin), args.mode)
     elapsed_ms = (time.perf_counter() - start) * 1e3
-    doc = docs.verify_document(summary, source, args.jobs, elapsed_ms)
+    doc = docs.verify_document(summary, source, elapsed_ms=elapsed_ms)
     return doc, (1 if summary.failures else 0)
 
 
@@ -243,6 +242,11 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:  # a crash must not read as a verify failure
+        import traceback  # only on this path, to keep start-up lean
+        traceback.print_exc()
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
     print(json.dumps(doc, indent=2))
     return code
 

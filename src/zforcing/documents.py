@@ -226,13 +226,14 @@ def parse_perfect_document(doc: dict):
     return doc["n"], doc["mode"], doc["perfect"]
 
 
-def verify_document(summary: CorpusSummary, source: str, jobs: int,
-                    elapsed_ms: float) -> dict:
+def verify_document(summary: CorpusSummary, source: str, jobs: int | None = None,
+                    elapsed_ms: float = 0.0) -> dict:
+    # jobs is ignored: corpus runs use one process. The slot remains so
+    # that four-argument callers keep working.
     return {
         "command": "verify",
         "mode": summary.mode,
         "source": source,
-        "jobs": jobs,
         "total": summary.total,
         "claw_free": summary.claw_free,
         "checked": summary.checked,

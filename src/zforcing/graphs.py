@@ -9,6 +9,7 @@ use 1-based labels at the boundary and nowhere else.
 from __future__ import annotations
 
 import itertools
+import math
 from typing import Iterable, Iterator, NamedTuple
 
 MAX_VERTICES = 64
@@ -158,6 +159,104 @@ def _graphs_in_range(n: int, lo: int, hi: int) -> Iterator[Graph]:
             rows[i] ^= bj
             rows[j] ^= bi
         yield Graph._unchecked(n, tuple(rows))
+
+
+# ---------------------------------------------------------------------------
+# isomorphism classes
+
+
+def _cells(adj: tuple[int, ...]) -> list[int]:
+    """Iterated degree refinement: the vertices split into ordered cells
+    (masks) by how many neighbours they have in each current cell, starting
+    from one cell, until no cell splits. Relabeling the graph relabels the
+    cells and keeps their order."""
+    cells = [(1 << len(adj)) - 1]
+    while True:
+        sig = [tuple(map(int.bit_count, map(a.__and__, cells))) for a in adj]
+        order = sorted(set(sig))
+        if len(order) == len(cells):
+            return cells
+        rank = {s: i for i, s in enumerate(order)}
+        cells = [0] * len(order)
+        for v, s in enumerate(sig):
+            cells[rank[s]] |= 1 << v
+
+
+def _canonical(adj: tuple[int, ...]) -> tuple[tuple[int, ...], list[tuple[int, ...]]]:
+    """Canonical key of a graph, and the labelings that reach it.
+
+    A labeling fills positions 0..n-1 cell by cell, in cell order; its
+    adjacency tuple holds, for each position, the mask of earlier positions
+    adjacent to it. The key is the least such tuple, found one position at
+    a time, keeping only the partial labelings whose prefix is least. The
+    labelings returned (tuples of the vertex at each position) reach the
+    key; automorphisms preserve the cells, so they form one coset of Aut
+    and there are |Aut| of them."""
+    frontier: list[tuple[int, ...]] = [()]
+    key = []
+    for cell in _cells(adj):
+        members = list(bits(cell))
+        for _ in members:
+            best = -1
+            nxt = []
+            for placed in frontier:
+                for v in members:
+                    if v in placed:
+                        continue
+                    a = adj[v]
+                    row = 0
+                    for j, u in enumerate(placed):
+                        if a >> u & 1:
+                            row |= 1 << j
+                    if row == best:
+                        nxt.append(placed + (v,))
+                    elif best < 0 or row < best:
+                        best = row
+                        nxt = [placed + (v,)]
+            key.append(best)
+            frontier = nxt
+    return tuple(key), frontier
+
+
+def _rows_of_key(key: tuple[int, ...]) -> tuple[int, ...]:
+    rows = list(key)
+    for i, row in enumerate(key):
+        for j in bits(row):
+            rows[j] |= 1 << i
+    return tuple(rows)
+
+
+def _graph_classes(n: int) -> Iterator[tuple[Graph, int]]:
+    """One graph per isomorphism class on n vertices, labeled by its
+    canonical key, with its number of labeled copies n!/|Aut|, in ascending
+    key order. Each class on k vertices gains a vertex k adjacent to one
+    neighbourhood per orbit of Aut on vertex sets; the children are kept
+    once per canonical key (isomorph-free generation, after McKay, J.
+    Algorithms 26, 1998)."""
+    level = {(0,): 1}  # canonical key -> |Aut|
+    for k in range(1, n):
+        children: dict[tuple[int, ...], int] = {}
+        for key in level:
+            rows = _rows_of_key(key)
+            auts = _canonical(rows)[1]  # rows is canonically labeled
+            seen = bytearray(1 << k)
+            for nbrs in range(1 << k):
+                if seen[nbrs]:
+                    continue
+                for perm in auts:
+                    image = 0
+                    for i, u in enumerate(perm):
+                        if nbrs >> i & 1:
+                            image |= 1 << u
+                    seen[image] = 1
+                child = tuple(row | 1 << k if nbrs >> v & 1 else row
+                              for v, row in enumerate(rows)) + (nbrs,)
+                child_key, labelings = _canonical(child)
+                children[child_key] = len(labelings)
+        level = children
+    labeled = math.factorial(n)
+    for key in sorted(level):
+        yield Graph._unchecked(n, _rows_of_key(key)), labeled // level[key]
 
 
 # ---------------------------------------------------------------------------

@@ -1,22 +1,23 @@
 """Equality checks and exhaustive small-graph corpus runs.
 
-One engine, run_corpus, judges a stream of graphs under one of three
-modes: `theorem` solves every connected claw-free graph and demands equal
-standard and psd forcing numbers; `corollary` demands that having equal
-numbers on every induced subgraph coincide with claw-freeness;
-`monotonicity` demands the psd number never exceed the standard one.
-run_corpus_enumerated feeds the same engine every labeled graph on n
-vertices, decoded from consecutive edge masks, in one process or in
-chunks across several. Failure lists carry graph6 strings, in stream
-order; for enumerated corpora that is edge-mask order whatever the
-number of processes.
+One engine judges a stream of graphs under one of three modes: `theorem`
+solves every connected claw-free graph and demands equal standard and psd
+forcing numbers; `corollary` demands that having equal numbers on every
+induced subgraph coincide with claw-freeness; `monotonicity` demands the
+psd number never exceed the standard one. run_corpus feeds it any stream
+of graphs, each counted once. run_corpus_enumerated covers every labeled
+graph on n vertices but solves one canonical representative per
+isomorphism class, counted n!/|Aut| times, since forcing numbers,
+claw-freeness and connectivity do not depend on the labeling. Failure
+lists carry graph6 strings in stream order: input order for run_corpus,
+one canonical representative per class, in canonical-key order, for
+run_corpus_enumerated.
 """
 from __future__ import annotations
 
-import multiprocessing
 from dataclasses import dataclass, field
 
-from .graphs import (Graph, _graphs_in_range, components, induced_subgraph,
+from .graphs import (Graph, _graph_classes, components, induced_subgraph,
                      is_claw_free, is_connected, to_graph6)
 from .forcing import Force, Rule, valid_forces
 from .solver import _search_min, forcing_number
@@ -114,14 +115,15 @@ def is_zz_perfect_direct(g: Graph) -> bool:
     return True
 
 
-def _examine_one(g: Graph, mode: str, solve_all: bool,
+def _examine_one(g: Graph, weight: int, mode: str, solve_all: bool,
                  summary: CorpusSummary) -> None:
+    summary.total += weight
     claw_free = is_claw_free(g)
     if claw_free:
-        summary.claw_free += 1
+        summary.claw_free += weight
     if mode == "theorem":
         if claw_free and is_connected(g):
-            summary.checked += 1
+            summary.checked += weight
             z, _, _ = _search_min(g.adj, g.n, Rule.STANDARD)
             zp, _, _ = _search_min(g.adj, g.n, Rule.PSD)
             if z != zp:
@@ -130,59 +132,43 @@ def _examine_one(g: Graph, mode: str, solve_all: bool,
             if forcing_number(g, Rule.STANDARD).value != forcing_number(g, Rule.PSD).value:
                 summary.informational.append(to_graph6(g))
     elif mode == "corollary":
-        summary.checked += 1
+        summary.checked += weight
         if is_zz_perfect_direct(g) != claw_free:
             summary.failures.append(to_graph6(g))
     else:  # monotonicity
-        summary.checked += 1
+        summary.checked += weight
         z, _, _ = _search_min(g.adj, g.n, Rule.STANDARD)
         zp, _, _ = _search_min(g.adj, g.n, Rule.PSD)
         if zp > z:
             summary.failures.append(to_graph6(g))
 
 
-def run_corpus(graphs, mode: str, solve_all: bool = False) -> CorpusSummary:
-    """Sequential corpus run over any stream of Graphs. Per-graph solver
-    errors are recorded and do not abort the run."""
+def _run_weighted(weighted, mode: str, solve_all: bool) -> CorpusSummary:
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
     summary = CorpusSummary(mode=mode)
-    for g in graphs:
-        summary.total += 1
+    for g, weight in weighted:
         try:
-            _examine_one(g, mode, solve_all, summary)
-        except ValueError as exc:
-            summary.errors.append(f"{to_graph6(g)}: {exc}")
+            _examine_one(g, weight, mode, solve_all, summary)
+        except Exception as exc:  # one bad graph must not end the run
+            summary.errors.append(f"{to_graph6(g)}: {type(exc).__name__}: {exc}")
     return summary
 
 
-def _corpus_range(n: int, lo: int, hi: int, mode: str) -> CorpusSummary:
-    return run_corpus(_graphs_in_range(n, lo, hi), mode)
+def run_corpus(graphs, mode: str, solve_all: bool = False) -> CorpusSummary:
+    """Sequential corpus run over any stream of Graphs. Any exception a
+    graph raises is recorded in errors and does not abort the run."""
+    return _run_weighted(((g, 1) for g in graphs), mode, solve_all)
 
 
-def run_corpus_enumerated(n: int, mode: str, jobs: int = 1) -> CorpusSummary:
-    """run_corpus over all labeled graphs on n vertices in edge-mask order,
-    optionally split into chunks of consecutive masks across processes.
-    The merged summary is identical for every jobs value."""
+def run_corpus_enumerated(n: int, mode: str, jobs: int | None = None) -> CorpusSummary:
+    """run_corpus over every labeled graph on n vertices, solving one
+    representative per isomorphism class and counting it n!/|Aut| times.
+    jobs is ignored; the slot remains so that three-argument callers of
+    the former multiprocess engine keep working."""
     if not 1 <= n <= 7:
         raise ValueError(f"enumeration supports 1..7 vertices, got {n}")
-    if mode not in MODES:
-        raise ValueError(f"unknown mode {mode!r}")
-    if jobs < 1:
-        raise ValueError("jobs must be at least 1")
-    span = 1 << (n * (n - 1) // 2)
-    if jobs == 1 or span < 4 * jobs:
-        return _corpus_range(n, 0, span, mode)
-    chunk = -(-span // (4 * jobs))
-    ranges = [(n, lo, min(lo + chunk, span), mode) for lo in range(0, span, chunk)]
-    with multiprocessing.Pool(processes=jobs) as pool:
-        parts = pool.starmap(_corpus_range, ranges)
-    merged = CorpusSummary(mode=mode)
-    for part in parts:  # chunk order keeps failure lists deterministic
-        merged.total += part.total
-        merged.claw_free += part.claw_free
-        merged.checked += part.checked
-        merged.failures.extend(part.failures)
-        merged.informational.extend(part.informational)
-        merged.errors.extend(part.errors)
-    return merged
+    if mode == "corollary" and n > 6:
+        raise ValueError("corollary mode checks every induced subgraph directly "
+                         f"and supports n <= 6 only, got {n}")
+    return _run_weighted(_graph_classes(n), mode, False)

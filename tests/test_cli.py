@@ -7,6 +7,7 @@ import pytest
 
 from conftest import TWO_DIAMONDS_EDGES, two_diamonds_graph
 from zforcing import CorpusSummary, complete_graph, path_graph, to_graph6
+from zforcing import cli
 from zforcing.cli import main
 
 
@@ -286,6 +287,17 @@ class TestVerify:
         assert code == 2
         assert "error:" in err
 
+    def test_corollary_enumerate_7_is_usage_error(self, capsys):
+        code, doc, err = run_cli(
+            capsys, ["verify", "--mode", "corollary", "--enumerate", "7"])
+        assert code == 2
+        assert doc is None
+        assert "error:" in err and "n <= 6" in err
+
+    def test_jobs_flag_is_gone(self, capsys):
+        assert main(["verify", "--enumerate", "3", "--jobs", "2"]) == 2
+        capsys.readouterr()
+
     def test_failures_flip_exit_code(self, capsys, monkeypatch):
         fake = CorpusSummary(mode="theorem", total=1, claw_free=1, checked=1,
                              failures=["A_"])
@@ -314,6 +326,17 @@ class TestUsage:
             capsys, ["solve", "--edges", str(tmp_path / "absent.txt")])
         assert code == 2
         assert "error:" in err
+
+    def test_internal_error_exits_3(self, capsys, monkeypatch):
+        def crash(args):
+            raise AssertionError("lemma postcondition broke")
+
+        monkeypatch.setitem(cli._HANDLERS, "solve", crash)
+        code, doc, err = run_cli(
+            capsys, ["solve", "--graph6", to_graph6(path_graph(3))])
+        assert code == 3
+        assert doc is None
+        assert err.splitlines()[-1] == "internal error: AssertionError: lemma postcondition broke"
 
 
 class TestDeterminism:

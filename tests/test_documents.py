@@ -99,6 +99,7 @@ class TestRoundTrips:
 
     def test_verify(self):
         summary = run_corpus_enumerated(3, "theorem")
-        doc = verify_document(summary, "enumerate:3", 1, 12.5)
+        doc = verify_document(summary, "enumerate:3", elapsed_ms=12.5)
+        assert "jobs" not in doc
         back = parse_verify_document(json.loads(json.dumps(doc)))
         assert back == summary

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+import math
 
 import pytest
 from hypothesis import given, strategies as st
@@ -29,6 +30,7 @@ from zforcing import (
     star_graph,
     to_graph6,
 )
+from zforcing.graphs import _canonical, _graph_classes, _rows_of_key
 
 
 class TestGraphBasics:
@@ -212,6 +214,74 @@ class TestEnumeration:
             list(enumerate_graphs(0))
         with pytest.raises(ValueError):
             list(enumerate_graphs(8))
+
+
+# isomorphism classes of graphs on n vertices (OEIS A000088)
+CLASSES = {1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156}
+
+
+def aut_count(g: Graph) -> int:
+    return len(_canonical(g.adj)[1])
+
+
+class TestGraphClasses:
+    def test_frozen_counts_and_weights_sum_to_labeled_count(self):
+        for n, count in CLASSES.items():
+            classes = list(_graph_classes(n))
+            assert len(classes) == count
+            assert sum(w for _, w in classes) == 1 << (n * (n - 1) // 2)
+            keys = [_canonical(g.adj)[0] for g, _ in classes]
+            assert keys == sorted(set(keys))  # one per class, ascending
+            for (g, w), key in zip(classes, keys):
+                assert Graph(n, g.adj) == g
+                assert g.adj == _rows_of_key(key)  # labeled by its own key
+                assert w * aut_count(g) == math.factorial(n)
+
+    def test_weights_count_labeled_copies(self):
+        # every labeled graph lands on a class, each class as often as its weight
+        for n in range(1, 6):
+            seen: dict[tuple[int, ...], int] = {}
+            for g in enumerate_graphs(n):
+                key = _canonical(g.adj)[0]
+                seen[key] = seen.get(key, 0) + 1
+            assert seen == {_canonical(g.adj)[0]: w for g, w in _graph_classes(n)}
+
+    def test_automorphism_counts_of_known_graphs(self):
+        for n in range(1, 7):
+            assert aut_count(complete_graph(n)) == math.factorial(n)
+            assert aut_count(from_edge_list(n, [])) == math.factorial(n)
+        for n in range(3, 8):
+            assert aut_count(cycle_graph(n)) == 2 * n
+        for k in range(2, 7):
+            assert aut_count(star_graph(k)) == math.factorial(k)
+        for n in range(2, 8):
+            assert aut_count(path_graph(n)) == 2
+
+    @given(graphs(max_n=7), st.randoms(use_true_random=False))
+    def test_key_survives_relabeling(self, g, rnd):
+        perm = list(range(g.n))
+        rnd.shuffle(perm)
+        h = from_edge_list(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+        assert _canonical(h.adj)[0] == _canonical(g.adj)[0]
+        assert aut_count(h) == aut_count(g)
+
+    def test_graph_atlas_oracle(self):
+        nx = pytest.importorskip("networkx")
+        from networkx.algorithms.isomorphism import GraphMatcher
+        atlas: dict[int, list] = {n: [] for n in CLASSES}
+        for h in nx.graph_atlas_g():
+            if 1 <= h.number_of_nodes() <= 6:
+                atlas[h.number_of_nodes()].append(h)
+        for n, graphs_n in atlas.items():
+            classes = {_canonical(g.adj)[0]: g for g, _ in _graph_classes(n)}
+            keys = []
+            for h in graphs_n:
+                g = from_edge_list(n, h.edges())
+                key = _canonical(g.adj)[0]
+                keys.append(key)
+                autos = sum(1 for _ in GraphMatcher(h, h).isomorphisms_iter())
+                assert aut_count(classes[key]) == autos
+            assert len(set(keys)) == len(keys) == len(classes)  # distinct, all hit
 
 
 class TestBuilders:

@@ -3,8 +3,9 @@ from __future__ import annotations
 import pytest
 
 from conftest import two_diamonds_graph
+from zforcing import verifier
 from zforcing import (
-    CorpusSummary,
+    Rule,
     check_equality,
     complete_graph,
     cycle_graph,
@@ -13,12 +14,14 @@ from zforcing import (
     is_zz_perfect_direct,
     mask_of,
     mirror_check,
+    parse_graph6,
     path_graph,
     run_corpus,
     run_corpus_enumerated,
     star_graph,
     to_graph6,
 )
+from zforcing.graphs import _canonical, _rows_of_key
 
 
 class TestCheckEquality:
@@ -111,6 +114,21 @@ class TestRunCorpus:
         assert summary.errors[0].startswith(to_graph6(path_graph(7)))
         assert summary.failures == []
 
+    def test_any_exception_recorded_not_fatal(self, monkeypatch):
+        bad = star_graph(3)
+        real = verifier.is_claw_free
+
+        def flaky(g):
+            if g == bad:
+                raise RuntimeError("claw filter broke")
+            return real(g)
+
+        monkeypatch.setattr(verifier, "is_claw_free", flaky)
+        summary = run_corpus([path_graph(3), bad, path_graph(4)], "theorem")
+        assert summary.total == 3
+        assert summary.checked == 2
+        assert summary.errors == [f"{to_graph6(bad)}: RuntimeError: claw filter broke"]
+
     def test_unknown_mode(self):
         with pytest.raises(ValueError):
             run_corpus([], "nonsense")
@@ -139,24 +157,45 @@ class TestEnumeratedCorpus:
         assert summary.failures == []
 
     def test_agrees_with_stream_runner(self):
-        for n in range(1, 6):
-            for mode in ("theorem", "corollary", "monotonicity"):
-                fast = run_corpus_enumerated(n, mode)
-                slow = run_corpus(enumerate_graphs(n), mode)
-                assert fast == slow
+        # the class run against the labeled run it replaces: every count,
+        # and the same failures up to isomorphism (both lists are empty)
+        for n in range(1, 7):
+            modes = ("theorem", "corollary", "monotonicity") if n <= 5 \
+                else ("theorem", "monotonicity")
+            for mode in modes:
+                classes = run_corpus_enumerated(n, mode)
+                labeled = run_corpus(enumerate_graphs(n), mode)
+                assert classes == labeled
 
-    def test_jobs_do_not_change_the_answer(self):
-        # jobs=2 splits the masks into chunks, most starting mid-range
-        for mode in ("theorem", "corollary", "monotonicity"):
-            lone = run_corpus_enumerated(5, mode)
-            split = run_corpus_enumerated(5, mode, jobs=2)
-            assert isinstance(split, CorpusSummary)
-            assert split == lone
+    def test_class_failures_name_canonical_representatives(self, monkeypatch):
+        # make the star K_{1,3} fail monotonicity: it is listed once, as
+        # its representative, although it has four labeled copies
+        real = verifier._search_min
+
+        def flipped(adj, n, rule):
+            z, witness, tested = real(adj, n, rule)
+            star = n == 4 and sorted(row.bit_count() for row in adj) == [1, 1, 1, 3]
+            return (z + 10 if star and rule is Rule.PSD else z), witness, tested
+
+        monkeypatch.setattr(verifier, "_search_min", flipped)
+        summary = run_corpus_enumerated(4, "monotonicity")
+        assert summary.total == 64
+        assert len(summary.failures) == 1
+        g = parse_graph6(summary.failures[0])
+        key = _canonical(g.adj)[0]
+        assert key == _canonical(star_graph(3).adj)[0]
+        assert _rows_of_key(key) == g.adj
 
     def test_argument_validation(self):
         with pytest.raises(ValueError):
             run_corpus_enumerated(8, "theorem")
         with pytest.raises(ValueError):
             run_corpus_enumerated(4, "bogus")
-        with pytest.raises(ValueError):
-            run_corpus_enumerated(4, "theorem", jobs=0)
+
+    def test_corollary_rejects_n7_up_front(self, monkeypatch):
+        def refuse(n):
+            raise AssertionError("no graph may be generated")
+
+        monkeypatch.setattr(verifier, "_graph_classes", refuse)
+        with pytest.raises(ValueError, match="n <= 6"):
+            run_corpus_enumerated(7, "corollary")

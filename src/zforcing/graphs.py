@@ -244,11 +244,7 @@ def _graph_classes(n: int) -> Iterator[tuple[Graph, int]]:
                 if seen[nbrs]:
                     continue
                 for perm in auts:
-                    image = 0
-                    for i, u in enumerate(perm):
-                        if nbrs >> i & 1:
-                            image |= 1 << u
-                    seen[image] = 1
+                    seen[mask_of(perm[i] for i in bits(nbrs))] = 1
                 child = tuple(row | 1 << k if nbrs >> v & 1 else row
                               for v, row in enumerate(rows)) + (nbrs,)
                 child_key, labelings = _canonical(child)

@@ -76,13 +76,14 @@ def build_bundle(g: Graph, f: Chronology, x: int) -> PathBundle:
                 continue  # forced by a vertex no path currently ends at
             # one extension per path per step: a source has a unique psd
             # target inside a single white component
-            assert i not in moved
+            if i in moved:
+                raise AssertionError("a path extends twice in one step")
             moved.add(i)
             del endpoint_of[force.source]
             endpoint_of[force.target] = i
             paths[i].append(force.target)
-    if hist.t_x:
-        assert sum(p[-1] == x for p in paths) == 1, "x must end exactly one path"
+    if hist.t_x and sum(p[-1] == x for p in paths) != 1:
+        raise AssertionError("x must end exactly one path")
     return PathBundle(x, hist.t_x, tuple(tuple(p) for p in paths))
 
 
@@ -95,5 +96,6 @@ def terminus(g: Graph, f: Chronology, bundle: PathBundle) -> int:
         for force in step:
             sources |= 1 << force.source
     members = q & ~sources
-    assert members.bit_count() == len(bundle.paths)
+    if members.bit_count() != len(bundle.paths):
+        raise AssertionError("the terminus must hold one vertex per path")
     return members

@@ -4,7 +4,9 @@ Both rules act on a blue/white coloring of a graph. Under the standard
 rule a blue vertex with exactly one white neighbor forces that neighbor.
 Under the positive semidefinite (psd) rule the white set is first split
 into the components of the subgraph it induces; a blue vertex u forces a
-white vertex w when w is u's only neighbor inside w's component. A
+white vertex w when w is u's only neighbor inside w's component. Both
+rules are one kernel over parts of the white set: the whole set under the
+standard rule, each of its components under the psd rule. A
 chronology records the set of forces applied at each time step, and its
 expansion sequence records the blue set after each step.
 """
@@ -12,9 +14,9 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
-from .graphs import Graph, bits, reach
+from .graphs import Graph, _reach_near, mask_of
 
 
 class Rule(enum.Enum):
@@ -77,29 +79,49 @@ def expansion_sequence(chron: Chronology) -> tuple[int, ...]:
     return tuple(states)
 
 
+def _forces(adj: Sequence[int], blue: int, white: int,
+            psd: bool) -> Iterator[tuple[int, int]]:
+    """Yield (source, target bit) for every valid force. White splits into
+    parts, the whole set under the standard rule and each component under
+    psd; a blue vertex next to a part forces its only neighbor there."""
+    rem = white
+    while rem:
+        if psd:
+            part, near = _reach_near(adj, rem & -rem, white)
+        else:
+            # a sweep of the whole white set's neighborhoods would cost
+            # more than trying every blue vertex
+            part, near = white, blue
+        rem &= ~part
+        b = near & blue
+        while b:
+            low = b & -b
+            b ^= low
+            u = low.bit_length() - 1
+            inter = adj[u] & part
+            if inter and not inter & (inter - 1):
+                yield u, inter
+
+
+def _close(adj: Sequence[int], blue: int, full: int, psd: bool) -> int:
+    """Final blue mask: apply every valid force each round until none is left."""
+    while True:
+        newly = 0
+        for _, target in _forces(adj, blue, full ^ blue, psd):
+            newly |= target
+        if not newly:
+            return blue
+        blue |= newly
+
+
 def valid_forces(g: Graph, blue: int, rule: "Rule | str") -> set[Force]:
     """Every force the rule admits at this coloring."""
-    rule = _rule(rule)
+    psd = _rule(rule) is Rule.PSD
     full = g.full_mask
     if blue & ~full:
         raise ValueError("blue set mentions vertices outside the graph")
-    white = full & ~blue
-    out: set[Force] = set()
-    if rule is Rule.STANDARD:
-        for u in bits(blue):
-            wn = g.adj[u] & white
-            if wn and not wn & (wn - 1):
-                out.add(Force(u, wn.bit_length() - 1))
-        return out
-    rem = white
-    while rem:
-        comp = reach(g.adj, rem & -rem, white)
-        rem &= ~comp
-        for u in bits(blue):
-            inter = g.adj[u] & comp
-            if inter and not inter & (inter - 1):
-                out.add(Force(u, inter.bit_length() - 1))
-    return out
+    return {Force(u, t.bit_length() - 1)
+            for u, t in _forces(g.adj, blue, full & ~blue, psd)}
 
 
 def apply_step(g: Graph, state: ColorState, chosen: Iterable[Force],
@@ -117,10 +139,7 @@ def apply_step(g: Graph, state: ColorState, chosen: Iterable[Force],
     targets = {f.target for f in chosen}
     if len(targets) != len(chosen):
         raise ValueError("duplicate targets within one step")
-    new_blue = state.blue
-    for t in targets:
-        new_blue |= 1 << t
-    return ColorState(new_blue, state.time + 1)
+    return ColorState(state.blue | mask_of(targets), state.time + 1)
 
 
 def closure(g: Graph, initial: int, rule: "Rule | str") -> tuple[Chronology, tuple[int, ...]]:
@@ -140,80 +159,16 @@ def closure(g: Graph, initial: int, rule: "Rule | str") -> tuple[Chronology, tup
             by_target.setdefault(f.target, f.source)
         step = frozenset(Force(s, t) for t, s in by_target.items())
         steps.append(step)
-        for t in by_target:
-            blue |= 1 << t
+        blue |= mask_of(by_target)
         states.append(blue)
     return Chronology(initial, tuple(steps), rule), tuple(states)
-
-
-# ---------------------------------------------------------------------------
-# tight mask-only closures: these recompute what closure() computes but skip
-# all force bookkeeping; agreement of the final blue masks is property-tested
-
-
-def _close_standard(adj: Sequence[int], blue: int, full: int) -> int:
-    while True:
-        prev = blue
-        b = blue
-        white = full ^ blue
-        while b:
-            low = b & -b
-            b ^= low
-            wn = adj[low.bit_length() - 1] & white
-            if wn and not wn & (wn - 1):
-                blue |= wn
-                white ^= wn
-        if blue == prev:
-            return blue
-
-
-def _close_psd(adj: Sequence[int], blue: int, full: int) -> int:
-    while True:
-        white = full ^ blue
-        if not white:
-            return blue
-        newly = 0
-        rem = white
-        while rem:
-            seed = rem & -rem
-            comp = seed
-            frontier = seed
-            while frontier:
-                nxt = 0
-                f = frontier
-                while f:
-                    low = f & -f
-                    f ^= low
-                    nxt |= adj[low.bit_length() - 1]
-                nxt &= white & ~comp
-                comp |= nxt
-                frontier = nxt
-            rem &= ~comp
-            boundary = 0
-            cc = comp
-            while cc:
-                low = cc & -cc
-                cc ^= low
-                boundary |= adj[low.bit_length() - 1]
-            boundary &= blue
-            while boundary:
-                low = boundary & -boundary
-                boundary ^= low
-                inter = adj[low.bit_length() - 1] & comp
-                if not inter & (inter - 1):
-                    newly |= inter
-        if not newly:
-            return blue
-        blue |= newly
 
 
 def closure_mask(g: Graph, initial: int, rule: "Rule | str") -> int:
     """Final blue mask of the closure, without the chronology."""
     if initial & ~g.full_mask:
         raise ValueError("blue set mentions vertices outside the graph")
-    if _rule(rule) is Rule.STANDARD:
-        return _close_standard(g.adj, initial, g.full_mask)
-    return _close_psd(g.adj, initial, g.full_mask)
+    return _close(g.adj, initial, g.full_mask, _rule(rule) is Rule.PSD)
 
 
 def is_forcing_set(g: Graph, b: int, rule: "Rule | str") -> bool:

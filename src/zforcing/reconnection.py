@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graphs import Graph, bits, components, is_connected, reach
+from .graphs import Graph, bits, components, is_connected, mask_of, reach
 from .forcing import (Force, Rule, chronological_list, expansion_sequence,
                       is_forcing_set, valid_forces)
 from .bundles import build_bundle, terminus
@@ -106,20 +106,20 @@ def improve_component(g: Graph, s: int, c: int) -> "ReconnectionStep | Minimalit
         y_mask = g.adj[x] & outside
         y = (y_mask & -y_mask).bit_length() - 1
         smaller = s & ~(1 << y)
-        assert is_forcing_set(g, smaller, Rule.PSD)
+        if not is_forcing_set(g, smaller, Rule.PSD):
+            raise AssertionError("dropping y must leave a psd forcing set")
         return MinimalityRefutation(y, smaller)
 
     # the single force at step t colors the last white vertex of N[x]
     # outside c, so its target is a neighbor of x
     (step_force,) = f.steps[t - 1]
     w_star = step_force.target
-    assert g.adj[x] >> w_star & 1 and not c >> w_star & 1
+    if not g.adj[x] >> w_star & 1 or c >> w_star & 1:
+        raise AssertionError("w* must be a neighbor of x outside c")
 
     order = [next(iter(step)) for step in f.steps[: t - 1]]
     order.append(Force(x, w_star))
-    blue = s
-    for fc in order:
-        blue |= 1 << fc.target
+    blue = s | mask_of(fc.target for fc in order)
     # regenerate the tail: replay the original force when still valid,
     # otherwise fall back to the lex-least valid force
     pending = [next(iter(step)) for step in f.steps[t:]]
@@ -142,12 +142,17 @@ def improve_component(g: Graph, s: int, c: int) -> "ReconnectionStep | Minimalit
     bundle = build_bundle(g, f_prime, w_star)
     s_prime = terminus(g, f_prime, bundle)
 
-    assert is_forcing_set(g, s_prime, Rule.PSD)
-    assert s_prime.bit_count() == s.bit_count()
-    assert not s_prime & c
-    assert not s_prime >> x & 1
+    if not is_forcing_set(g, s_prime, Rule.PSD):
+        raise AssertionError("s' must be a psd forcing set")
+    if s_prime.bit_count() != s.bit_count():
+        raise AssertionError("s' must be as large as s")
+    if s_prime & c:
+        raise AssertionError("s' must avoid c")
+    if s_prime >> x & 1:
+        raise AssertionError("s' must avoid x")
     grown = reach(g.adj, 1 << x, g.full_mask & ~s_prime)
-    assert c & ~grown == 0 and grown != c
+    if c & ~grown or grown == c:
+        raise AssertionError("x's component of g - s' must strictly contain c")
     return ReconnectionStep(s, c, s0, x, t, w_star, s_prime)
 
 
@@ -167,7 +172,8 @@ def connected_complement_trace(g: Graph) -> tuple[int, list[ReconnectionStep]]:
         c = max(comps, key=lambda m: m.bit_count())  # list is least-member sorted
         result = improve_component(g, s, c)
         # a minimum set can never trigger the refutation branch
-        assert isinstance(result, ReconnectionStep)
+        if not isinstance(result, ReconnectionStep):
+            raise AssertionError("a minimum psd forcing set was refuted")
         steps.append(result)
         s = result.s_prime
     raise AssertionError("component enlargement failed to terminate")

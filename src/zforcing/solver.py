@@ -12,8 +12,8 @@ import itertools
 import time
 from dataclasses import dataclass
 
-from .graphs import Graph, bits, components, induced_subgraph
-from .forcing import Rule, _close_psd, _close_standard, _rule
+from .graphs import Graph, bits, components, induced_subgraph, mask_of
+from .forcing import Rule, _close, _rule
 
 
 @dataclass(frozen=True)
@@ -28,7 +28,7 @@ class SolverReport:
 def _search_min(adj: tuple[int, ...], n: int, rule: Rule) -> tuple[int, int, int]:
     """(size, witness mask, candidates tested) for one whole graph."""
     full = (1 << n) - 1
-    close = _close_standard if rule is Rule.STANDARD else _close_psd
+    psd = rule is Rule.PSD
     tested = 0
     for k in range(1, n + 1):
         for combo in itertools.combinations(range(n), k):
@@ -36,7 +36,7 @@ def _search_min(adj: tuple[int, ...], n: int, rule: Rule) -> tuple[int, int, int
             for v in combo:
                 blue |= 1 << v
             tested += 1
-            if close(adj, blue, full) == full:
+            if _close(adj, blue, full, psd) == full:
                 return k, blue, tested
     raise AssertionError("the full vertex set always forces")
 
@@ -73,13 +73,10 @@ def all_minimum_sets(g: Graph, rule: "Rule | str", cap: int = 1000) -> list[int]
         raise ValueError("cap must be at least 1")
     z = forcing_number(g, rule).value
     full = g.full_mask
-    close = _close_standard if rule is Rule.STANDARD else _close_psd
     out = []
     for combo in itertools.combinations(range(g.n), z):
-        blue = 0
-        for v in combo:
-            blue |= 1 << v
-        if close(g.adj, blue, full) == full:
+        blue = mask_of(combo)
+        if _close(g.adj, blue, full, rule is Rule.PSD) == full:
             out.append(blue)
             if len(out) == cap:
                 break

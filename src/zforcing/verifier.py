@@ -86,13 +86,12 @@ def mirror_check(g: Graph, s: int) -> MirrorReport:
     t = 0
     log: list[MirrorStep] = []
     while blue != full:
-        white = full & ~blue
-        white_connected = len(components(g, white)) <= 1
+        white_connected = len(components(g, full & ~blue)) <= 1
         valid = valid_forces(g, blue, Rule.PSD)
         if not valid:
             return MirrorReport(False, tuple(log), f"no psd force at time {t}")
         force = min(valid)
-        standard_valid = g.adj[force.source] & white == 1 << force.target
+        standard_valid = force in valid_forces(g, blue, Rule.STANDARD)
         log.append(MirrorStep(t, force, white_connected, standard_valid))
         if not (white_connected and standard_valid):
             return MirrorReport(False, tuple(log), f"assertion failed at time {t}")

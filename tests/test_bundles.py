@@ -1,10 +1,12 @@
 from __future__ import annotations
 
 import random
+import subprocess
+import sys
 
 import pytest
 
-from conftest import two_diamonds_graph
+from conftest import TWO_DIAMONDS_EDGES, two_diamonds_graph
 from naive import comps_of
 from zforcing import (
     Force,
@@ -141,6 +143,29 @@ class TestTerminus:
             # but terminus members never source inside it
             assert set(bits(t)) <= set(v for p in bundle.paths for v in p)
             assert len(last) == len(bundle.paths)
+
+    def test_size_check_survives_optimize(self):
+        # a bundle with one path listed twice breaks the one-vertex-per-path
+        # law; python -O strips assert statements, not this check
+        script = f"""
+import sys
+from zforcing import PathBundle, Rule, build_bundle, closure, from_edge_list, terminus
+g = from_edge_list(8, [(u - 1, v - 1) for u, v in {TWO_DIAMONDS_EDGES!r}])
+chron, _ = closure(g, {B0}, Rule.PSD)
+good = build_bundle(g, chron, 6)
+bad = PathBundle(good.x, good.t_x, good.paths + good.paths[:1])
+print(sys.flags.optimize)
+try:
+    print(terminus(g, chron, bad))
+except AssertionError as exc:
+    print("AssertionError:", exc)
+"""
+        run = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True,
+                             text=True, timeout=60)
+        assert run.returncode == 0, run.stderr
+        optimize, result = run.stdout.splitlines()
+        assert optimize == "1"
+        assert result.startswith("AssertionError:")
 
 
 class TestHistoryMatchesSetReference:

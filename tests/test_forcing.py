@@ -139,14 +139,19 @@ class TestClosure:
                 for blue in _subset_masks(n):
                     for rule, name in ((Rule.STANDARD, "standard"), (Rule.PSD, "psd")):
                         _, expansion = closure(g, blue, rule)
-                        assert set(bits(expansion[-1])) == naive_closure(g, set(bits(blue)), name)
+                        expected = naive_closure(g, set(bits(blue)), name)
+                        assert set(bits(expansion[-1])) == expected
+                        assert closure_mask(g, blue, rule) == mask_of(expected)
 
     @given(graphs(max_n=7), st.integers(min_value=0))
     def test_closure_mask_agrees(self, g, seed):
+        # closure and closure_mask share one kernel, so the set reference
+        # is the independent opinion
         blue = seed % (1 << g.n)
-        for rule in Rule:
+        for rule, name in ((Rule.STANDARD, "standard"), (Rule.PSD, "psd")):
             _, expansion = closure(g, blue, rule)
             assert closure_mask(g, blue, rule) == expansion[-1]
+            assert closure_mask(g, blue, rule) == mask_of(naive_closure(g, set(bits(blue)), name))
 
     def test_is_forcing_set(self, two_diamonds):
         assert is_forcing_set(two_diamonds, B0, Rule.PSD)

@@ -6,7 +6,9 @@ Under the positive semidefinite (psd) rule the white set is first split
 into the components of the subgraph it induces; a blue vertex u forces a
 white vertex w when w is u's only neighbor inside w's component. Both
 rules are one kernel over parts of the white set: the whole set under the
-standard rule, each of its components under the psd rule. A
+standard rule, each of its components under the psd rule. Walks that
+apply one force per step keep the parts between steps and split again only
+the part of the vertex just forced. A
 chronology records the set of forces applied at each time step, and its
 expansion sequence records the blue set after each step.
 """
@@ -114,6 +116,40 @@ def _close(adj: Sequence[int], blue: int, full: int, psd: bool) -> int:
         blue |= newly
 
 
+def _parts(adj: Sequence[int], blue: int, white: int,
+           psd: bool) -> list[tuple[int, list[Force]]]:
+    """The parts of the white set, each with the valid forces into it: each
+    component under psd, the whole set under the standard rule. Inside one
+    part the psd rule is the standard rule."""
+    parts = []
+    rem = white
+    while rem:
+        if psd:
+            part, near = _reach_near(adj, rem & -rem, white)
+        else:
+            part, near = white, blue
+        rem &= ~part
+        parts.append((part, [Force(u, t.bit_length() - 1)
+                             for u, t in _forces(adj, blue & near, part, False)]))
+    return parts
+
+
+def _split(adj: Sequence[int], parts: list[tuple[int, list[Force]]], blue: int,
+           t: int, psd: bool) -> None:
+    """Update the parts in place once white vertex t has joined blue. No
+    other part touches t, so only t's own part, and the forces into it,
+    change."""
+    for i, (part, _) in enumerate(parts):
+        if part >> t & 1:
+            parts[i:i + 1] = _parts(adj, blue, part & ~(1 << t), psd)
+            return
+
+
+def _valid(parts: list[tuple[int, list[Force]]]) -> set[Force]:
+    """Every force valid at the coloring the parts were kept for."""
+    return {f for _, forces in parts for f in forces}
+
+
 def valid_forces(g: Graph, blue: int, rule: "Rule | str") -> set[Force]:
     """Every force the rule admits at this coloring."""
     psd = _rule(rule) is Rule.PSD
@@ -182,22 +218,31 @@ def chronological_list(g: Graph, b: int, rule: "Rule | str",
     step; with `replay` the given forces are validated and applied in
     order and must themselves finish the run."""
     rule = _rule(rule)
-    if not is_forcing_set(g, b, rule):
-        raise ChronologyError("initial set does not force the whole graph")
+    psd = rule is Rule.PSD
     full = g.full_mask
+    if b & ~full:
+        raise ValueError("blue set mentions vertices outside the graph")
+    if replay is not None and not is_forcing_set(g, b, rule):
+        raise ChronologyError("initial set does not force the whole graph")
+    parts = _parts(g.adj, b, full & ~b, psd)
     blue = b
     steps: list[frozenset[Force]] = []
     if replay is None:
         while blue != full:
-            force = min(valid_forces(g, blue, rule))
+            valid = _valid(parts)
+            if not valid:
+                raise ChronologyError("initial set does not force the whole graph")
+            force = min(valid)
             steps.append(frozenset([force]))
             blue |= 1 << force.target
+            _split(g.adj, parts, blue, force.target, psd)
         return Chronology(b, tuple(steps), rule)
     for i, force in enumerate(replay):
-        if force not in valid_forces(g, blue, rule):
+        if force not in _valid(parts):
             raise ChronologyError(f"force {force} not valid at step {i + 1}", step=i + 1)
         steps.append(frozenset([force]))
         blue |= 1 << force.target
+        _split(g.adj, parts, blue, force.target, psd)
     if blue != full:
         raise ChronologyError("replayed forces stop before the graph is blue")
     return Chronology(b, tuple(steps), rule)

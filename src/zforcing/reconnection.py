@@ -15,8 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .graphs import Graph, bits, components, is_connected, mask_of, reach
-from .forcing import (Force, Rule, chronological_list, expansion_sequence,
-                      is_forcing_set, valid_forces)
+from .forcing import (Force, Rule, _parts, _split, _valid,
+                      chronological_list, expansion_sequence, is_forcing_set)
 from .bundles import build_bundle, terminus
 from .solver import forcing_number
 
@@ -121,22 +121,17 @@ def improve_component(g: Graph, s: int, c: int) -> "ReconnectionStep | Minimalit
     order.append(Force(x, w_star))
     blue = s | mask_of(fc.target for fc in order)
     # regenerate the tail: replay the original force when still valid,
-    # otherwise fall back to the lex-least valid force
+    # otherwise fall back to the lex-least valid force; a pending force
+    # whose target is already blue is never valid, so it can stay listed
     pending = [next(iter(step)) for step in f.steps[t:]]
+    parts = _parts(g.adj, blue, g.full_mask & ~blue, True)
     while blue != g.full_mask:
-        pending = [fc for fc in pending if not blue >> fc.target & 1]
-        valid = valid_forces(g, blue, Rule.PSD)
-        chosen = None
-        for fc in pending:
-            if fc in valid:
-                chosen = fc
-                break
-        if chosen is None:
-            chosen = min(valid)
+        valid = _valid(parts)
+        i = next((i for i, fc in enumerate(pending) if fc in valid), None)
+        chosen = min(valid) if i is None else pending.pop(i)
         order.append(chosen)
         blue |= 1 << chosen.target
-        if chosen in pending:
-            pending.remove(chosen)
+        _split(g.adj, parts, blue, chosen.target, True)
 
     f_prime = chronological_list(g, s, Rule.PSD, replay=order)
     bundle = build_bundle(g, f_prime, w_star)

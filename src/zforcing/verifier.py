@@ -17,9 +17,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .graphs import (Graph, _graph_classes, components, induced_subgraph,
-                     is_claw_free, is_connected, to_graph6)
-from .forcing import Force, Rule, valid_forces
+from .graphs import (Graph, _graph_classes, induced_subgraph, is_claw_free,
+                     is_connected, to_graph6)
+from .forcing import Force, Rule, _forces, _parts, _split, _valid
 from .solver import _search_min, forcing_number
 
 MODES = ("theorem", "corollary", "monotonicity")
@@ -83,19 +83,22 @@ def mirror_check(g: Graph, s: int) -> MirrorReport:
     if s & ~full:
         raise ValueError("s mentions vertices outside the graph")
     blue = s
+    parts = _parts(g.adj, s, full & ~s, True)
     t = 0
     log: list[MirrorStep] = []
     while blue != full:
-        white_connected = len(components(g, full & ~blue)) <= 1
-        valid = valid_forces(g, blue, Rule.PSD)
+        white_connected = len(parts) <= 1
+        valid = _valid(parts)
         if not valid:
             return MirrorReport(False, tuple(log), f"no psd force at time {t}")
         force = min(valid)
-        standard_valid = force in valid_forces(g, blue, Rule.STANDARD)
+        standard_valid = (force.source, 1 << force.target) in _forces(
+            g.adj, 1 << force.source, full & ~blue, False)
         log.append(MirrorStep(t, force, white_connected, standard_valid))
         if not (white_connected and standard_valid):
             return MirrorReport(False, tuple(log), f"assertion failed at time {t}")
         blue |= 1 << force.target
+        _split(g.adj, parts, blue, force.target, True)
         t += 1
     return MirrorReport(True, tuple(log))
 

@@ -76,6 +76,20 @@ def naive_is_forcing(g: Graph, initial: set[int], rule: str) -> bool:
     return naive_closure(g, initial, rule) == set(range(g.n))
 
 
+def naive_chronological_list(g: Graph, initial: set[int], rule: str) -> list[tuple[int, int]]:
+    """One force per step, the least valid (source, target) pair each time,
+    until everything is blue or no force is left."""
+    blue = set(initial)
+    out = []
+    while True:
+        valid = naive_valid_forces(g, blue, rule)
+        if not valid:
+            return out
+        force = min(valid)
+        out.append(force)
+        blue.add(force[1])
+
+
 def naive_forcing_number(g: Graph, rule: str) -> int:
     for k in range(1, g.n + 1):
         for combo in itertools.combinations(range(g.n), k):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from conftest import graphs, two_diamonds_graph
-from naive import naive_closure, naive_valid_forces
+from naive import naive_chronological_list, naive_closure, naive_valid_forces
 from zforcing import (
     ChronologyError,
     ColorState,
@@ -187,6 +187,52 @@ class TestChronologicalList:
     def test_non_forcing_set_rejected(self, two_diamonds):
         with pytest.raises(ChronologyError):
             chronological_list(two_diamonds, B0, Rule.STANDARD)
+
+    def test_errors_pinned(self, two_diamonds):
+        # the lex path finds a stall in its own walk, the replay path in a
+        # closure first; both report it alike, and neither takes stray bits
+        for replay in (None, [Force(3, 2)]):
+            with pytest.raises(ChronologyError) as info:
+                chronological_list(two_diamonds, B0, Rule.STANDARD, replay=replay)
+            assert type(info.value) is ChronologyError
+            assert str(info.value) == "initial set does not force the whole graph"
+            assert info.value.step is None
+            with pytest.raises(ValueError) as info:
+                chronological_list(two_diamonds, B0 | 1 << 8, Rule.PSD, replay=replay)
+            assert type(info.value) is ValueError
+            assert str(info.value) == "blue set mentions vertices outside the graph"
+
+    @staticmethod
+    def _check_against_reference(g, b, rule, name):
+        expected = naive_chronological_list(g, set(bits(b)), name)
+        if b | mask_of(t for _, t in expected) != g.full_mask:
+            with pytest.raises(ChronologyError) as info:
+                chronological_list(g, b, rule)
+            assert info.value.step is None
+            return
+        chron = chronological_list(g, b, rule)
+        assert [(f.source, f.target) for f in chron.forces()] == expected
+        replay = [Force(u, t) for u, t in expected]
+        assert chronological_list(g, b, rule, replay=replay).steps == chron.steps
+        for i, (u, t) in enumerate(expected):
+            # t is still white at step i + 1, so it cannot be the source
+            bad = replay[:i] + [Force(t, u)] + replay[i + 1:]
+            with pytest.raises(ChronologyError) as info:
+                chronological_list(g, b, rule, replay=bad)
+            assert info.value.step == i + 1
+
+    def test_matches_reference_exhaustive(self):
+        for n in range(1, 5):
+            for g in enumerate_graphs(n, connected_only=True):
+                for b in _subset_masks(n):
+                    for rule, name in ((Rule.STANDARD, "standard"), (Rule.PSD, "psd")):
+                        self._check_against_reference(g, b, rule, name)
+
+    @given(graphs(max_n=9), st.integers(min_value=0))
+    def test_matches_reference_random(self, g, seed):
+        b = seed % (1 << g.n)
+        for rule, name in ((Rule.STANDARD, "standard"), (Rule.PSD, "psd")):
+            self._check_against_reference(g, b, rule, name)
 
     def test_final_blue_independent_of_schedule(self):
         # one force at a time must end where the all-at-once closure ends

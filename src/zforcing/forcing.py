@@ -222,8 +222,6 @@ def chronological_list(g: Graph, b: int, rule: "Rule | str",
     full = g.full_mask
     if b & ~full:
         raise ValueError("blue set mentions vertices outside the graph")
-    if replay is not None and not is_forcing_set(g, b, rule):
-        raise ChronologyError("initial set does not force the whole graph")
     parts = _parts(g.adj, b, full & ~b, psd)
     blue = b
     steps: list[frozenset[Force]] = []
@@ -239,13 +237,20 @@ def chronological_list(g: Graph, b: int, rule: "Rule | str",
         return Chronology(b, tuple(steps), rule)
     for i, force in enumerate(replay):
         if force not in _valid(parts):
-            raise ChronologyError(f"force {force} not valid at step {i + 1}", step=i + 1)
+            error = ChronologyError(f"force {force} not valid at step {i + 1}", step=i + 1)
+            break
         steps.append(frozenset([force]))
         blue |= 1 << force.target
         _split(g.adj, parts, blue, force.target, psd)
-    if blue != full:
-        raise ChronologyError("replayed forces stop before the graph is blue")
-    return Chronology(b, tuple(steps), rule)
+    else:
+        if blue == full:
+            return Chronology(b, tuple(steps), rule)
+        error = ChronologyError("replayed forces stop before the graph is blue")
+    # an initial set that does not force is named before the replayed force
+    # at fault; the closure runs only on this error path
+    if not is_forcing_set(g, b, rule):
+        raise ChronologyError("initial set does not force the whole graph")
+    raise error
 
 
 def restrict_chronology(f: Chronology, h: int) -> list[frozenset[Force]]:

@@ -235,13 +235,19 @@ def _rows_of_key(key: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(rows)
 
 
-def _graph_classes(n: int) -> Iterator[tuple[Graph, int]]:
+def _graph_classes(n: int, claw_free: bool = False) -> Iterator[tuple[Graph, int]]:
     """One graph per isomorphism class on n vertices, labeled by its
     canonical key, with its number of labeled copies n!/|Aut|, in ascending
     key order. Each class on k vertices gains a vertex k adjacent to one
     neighbourhood per orbit of Aut on vertex sets; the children are kept
     once per canonical key (isomorph-free generation, after McKay, J.
-    Algorithms 26, 1998)."""
+    Algorithms 26, 1998).
+
+    With claw_free only the classes without an induced claw are made.
+    Deleting a vertex of a claw-free graph leaves it claw-free, so they all
+    grow from claw-free parents. A claw in a child must contain the new
+    vertex k, so its center is k or a neighbour of k; a child with such a
+    center is dropped before it is canonicalized."""
     level = {(0,): 1}  # canonical key -> |Aut|
     for k in range(1, n):
         children: dict[tuple[int, ...], int] = {}
@@ -256,6 +262,8 @@ def _graph_classes(n: int) -> Iterator[tuple[Graph, int]]:
                     seen[mask_of(perm[i] for i in bits(nbrs))] = 1
                 child = tuple(row | 1 << k if nbrs >> v & 1 else row
                               for v, row in enumerate(rows)) + (nbrs,)
+                if claw_free and _claw_centered(child, nbrs | 1 << k):
+                    continue
                 child_key, labelings = _canonical(child)
                 children[child_key] = len(labelings)
         level = children
@@ -432,15 +440,15 @@ def find_claws(g: Graph) -> list[Claw]:
     return out
 
 
-def has_claw(g: Graph) -> bool:
-    # early-exit variant of find_claws for corpus filtering; the two are
-    # cross-checked against each other in the tests
-    adj = g.adj
-    for v in range(g.n):
-        nv = adj[v]
-        if nv.bit_count() < 3:
+def _claw_centered(adj: tuple[int, ...], centers: int) -> bool:
+    """Whether some vertex of the mask centers is the center of an induced
+    claw: whether it has three pairwise nonadjacent neighbours."""
+    while centers:
+        low = centers & -centers
+        centers ^= low
+        rem = adj[low.bit_length() - 1]
+        if rem.bit_count() < 3:
             continue
-        rem = nv
         while rem:
             abit = rem & -rem
             rem ^= abit
@@ -452,6 +460,12 @@ def has_claw(g: Graph) -> bool:
                 if others & ~adj[bbit.bit_length() - 1] & ~bbit:
                     return True
     return False
+
+
+def has_claw(g: Graph) -> bool:
+    # early-exit variant of find_claws for corpus filtering; the two are
+    # cross-checked against each other in the tests
+    return _claw_centered(g.adj, g.full_mask)
 
 
 def is_claw_free(g: Graph) -> bool:

@@ -25,19 +25,30 @@ class SolverReport:
     elapsed_ms: float
 
 
+def _first_of_size(adj: tuple[int, ...], n: int, k: int, psd: bool) -> tuple[int, int]:
+    """(lex-least forcing set of size k, or 0 if there is none; candidates
+    tested) for one whole graph."""
+    full = (1 << n) - 1
+    tested = 0
+    for combo in itertools.combinations(range(n), k):
+        blue = 0
+        for v in combo:
+            blue |= 1 << v
+        tested += 1
+        if _close(adj, blue, full, psd) == full:
+            return blue, tested
+    return 0, tested
+
+
 def _search_min(adj: tuple[int, ...], n: int, rule: Rule) -> tuple[int, int, int]:
     """(size, witness mask, candidates tested) for one whole graph."""
-    full = (1 << n) - 1
     psd = rule is Rule.PSD
     tested = 0
     for k in range(1, n + 1):
-        for combo in itertools.combinations(range(n), k):
-            blue = 0
-            for v in combo:
-                blue |= 1 << v
-            tested += 1
-            if _close(adj, blue, full, psd) == full:
-                return k, blue, tested
+        witness, t = _first_of_size(adj, n, k, psd)
+        tested += t
+        if witness:
+            return k, witness, tested
     raise AssertionError("the full vertex set always forces")
 
 

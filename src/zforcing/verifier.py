@@ -1,16 +1,19 @@
 """Equality checks and exhaustive small-graph corpus runs.
 
 One engine judges a stream of graphs under one of three modes: `theorem`
-solves every connected claw-free graph and demands equal standard and psd
-forcing numbers; `corollary` demands that having equal numbers on every
-induced subgraph coincide with claw-freeness; `monotonicity` demands the
-psd number never exceed the standard one. run_corpus feeds it any stream
-of graphs, each counted once. run_corpus_enumerated covers every labeled
-graph on n vertices but solves one canonical representative per
-isomorphism class, counted n!/|Aut| times, since forcing numbers,
-claw-freeness and connectivity do not depend on the labeling. Failure
-lists carry graph6 strings in stream order: input order for run_corpus,
-one canonical representative per class, in canonical-key order, for
+demands equal standard and psd forcing numbers on every connected
+claw-free graph, testing psd sets at sizes Z and Z - 1 only; `corollary`
+demands that having equal numbers on every induced subgraph coincide
+with claw-freeness; `monotonicity` demands the psd number never exceed
+the standard one. run_corpus feeds it any stream of graphs, each counted
+once. run_corpus_enumerated covers every labeled graph on n vertices but
+solves one canonical representative per isomorphism class, counted
+n!/|Aut| times, since forcing numbers, claw-freeness and connectivity do
+not depend on the labeling. In theorem mode it walks only the claw-free
+classes, since no other class is checked, and takes n up to 9; the other
+modes take n up to 7, corollary up to 6. Failure lists carry graph6
+strings in stream order: input order for run_corpus, one canonical
+representative per class, in canonical-key order, for
 run_corpus_enumerated.
 """
 from __future__ import annotations
@@ -19,8 +22,8 @@ from dataclasses import dataclass, field
 
 from .graphs import (Graph, _graph_classes, induced_subgraph, is_claw_free,
                      is_connected, to_graph6)
-from .forcing import Force, Rule, _forces, _parts, _split, _valid
-from .solver import _search_min, forcing_number
+from .forcing import Force, Rule, _close, _forces, _parts, _split, _valid
+from .solver import _first_of_size, _search_min, forcing_number
 
 MODES = ("theorem", "corollary", "monotonicity")
 
@@ -117,6 +120,18 @@ def is_zz_perfect_direct(g: Graph) -> bool:
     return True
 
 
+def _numbers_differ(g: Graph) -> bool:
+    """Whether Z(G) != Z+(G), deciding Z+ by psd tests at two sizes only.
+    A standard forcing set is a psd forcing set, since every standard force
+    is a psd force, so the lex-least standard witness of size Z psd-forces
+    unless Z+ > Z. A superset of a psd forcing set is one too, so Z+ < Z
+    exactly when some set of size Z - 1 psd-forces."""
+    z, witness, _ = _search_min(g.adj, g.n, Rule.STANDARD)
+    if _close(g.adj, witness, g.full_mask, True) != g.full_mask:
+        return True
+    return bool(_first_of_size(g.adj, g.n, z - 1, True)[0])
+
+
 def _examine_one(g: Graph, weight: int, mode: str, solve_all: bool,
                  summary: CorpusSummary) -> None:
     summary.total += weight
@@ -126,9 +141,7 @@ def _examine_one(g: Graph, weight: int, mode: str, solve_all: bool,
     if mode == "theorem":
         if claw_free and is_connected(g):
             summary.checked += weight
-            z, _, _ = _search_min(g.adj, g.n, Rule.STANDARD)
-            zp, _, _ = _search_min(g.adj, g.n, Rule.PSD)
-            if z != zp:
+            if _numbers_differ(g):
                 summary.failures.append(to_graph6(g))
         elif solve_all:
             if forcing_number(g, Rule.STANDARD).value != forcing_number(g, Rule.PSD).value:
@@ -166,11 +179,18 @@ def run_corpus(graphs, mode: str, solve_all: bool = False) -> CorpusSummary:
 def run_corpus_enumerated(n: int, mode: str, jobs: int | None = None) -> CorpusSummary:
     """run_corpus over every labeled graph on n vertices, solving one
     representative per isomorphism class and counting it n!/|Aut| times.
-    jobs is ignored; the slot remains so that three-argument callers of
-    the former multiprocess engine keep working."""
-    if not 1 <= n <= 7:
-        raise ValueError(f"enumeration supports 1..7 vertices, got {n}")
+    Theorem mode generates only the claw-free classes, up to n = 9; every
+    labeled graph still counts in total. jobs is ignored; the slot remains
+    so that three-argument callers of the former multiprocess engine keep
+    working."""
+    theorem = mode == "theorem"
+    top = 9 if theorem else 7
+    if not 1 <= n <= top:
+        raise ValueError(f"enumeration supports 1..{top} vertices in {mode} mode, got {n}")
     if mode == "corollary" and n > 6:
         raise ValueError("corollary mode checks every induced subgraph directly "
                          f"and supports n <= 6 only, got {n}")
-    return _run_weighted(_graph_classes(n), mode, False)
+    summary = _run_weighted(_graph_classes(n, claw_free=theorem), mode, False)
+    if theorem:
+        summary.total = 1 << (n * (n - 1) // 2)
+    return summary

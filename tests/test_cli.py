@@ -7,7 +7,7 @@ import pytest
 
 from conftest import TWO_DIAMONDS_EDGES, two_diamonds_graph
 from zforcing import CorpusSummary, complete_graph, path_graph, to_graph6
-from zforcing import cli
+from zforcing import cli, verifier
 from zforcing.cli import main
 
 
@@ -293,6 +293,17 @@ class TestVerify:
         assert code == 2
         assert doc is None
         assert "error:" in err and "n <= 6" in err
+
+    def test_theorem_enumerate_10_is_usage_error(self, capsys, monkeypatch):
+        def refuse(n, claw_free=False):
+            raise AssertionError("no graph may be generated")
+
+        monkeypatch.setattr(verifier, "_graph_classes", refuse)
+        code, doc, err = run_cli(
+            capsys, ["verify", "--mode", "theorem", "--enumerate", "10"])
+        assert code == 2
+        assert doc is None
+        assert "error:" in err and "1..9" in err
 
     def test_jobs_flag_is_gone(self, capsys):
         assert main(["verify", "--enumerate", "3", "--jobs", "2"]) == 2

@@ -30,7 +30,7 @@ from zforcing import (
     star_graph,
     to_graph6,
 )
-from zforcing.graphs import _canonical, _graph_classes, _rows_of_key
+from zforcing.graphs import _canonical, _claw_centered, _graph_classes, _rows_of_key
 
 
 class TestGraphBasics:
@@ -188,6 +188,9 @@ class TestClaws:
                 got = {(c.center, c.leaves) for c in find_claws(g)}
                 assert got == expect
                 assert has_claw(g) == bool(expect)
+                centers = {c for c, _ in expect}
+                assert [_claw_centered(g.adj, 1 << v) for v in range(n)] == [
+                    v in centers for v in range(n)]
 
     @given(graphs(max_n=7))
     def test_has_claw_matches_enumeration(self, g):
@@ -265,23 +268,45 @@ class TestGraphClasses:
         assert _canonical(h.adj)[0] == _canonical(g.adj)[0]
         assert aut_count(h) == aut_count(g)
 
+    def test_claw_free_classes_are_the_claw_free_subset(self):
+        # same keys, weights and order as filtering the full stream
+        for n in range(1, 8):
+            assert list(_graph_classes(n, claw_free=True)) == [
+                (g, w) for g, w in _graph_classes(n) if is_claw_free(g)]
+
+    def test_claw_free_filter_drops_a_new_leaf(self):
+        # K_{1,3} grows from the path P_3 by a vertex on the path's middle:
+        # the new vertex is only a leaf, so a filter that asked whether it
+        # is a center would keep the star
+        keys = {_canonical(g.adj)[0] for g, _ in _graph_classes(4, claw_free=True)}
+        assert len(keys) == 10
+        assert _canonical(star_graph(3).adj)[0] not in keys
+
     def test_graph_atlas_oracle(self):
+        # the atlas holds every graph on 0..7 vertices; networkx decides
+        # isomorphism, automorphisms and induced K_{1,3} on its own
         nx = pytest.importorskip("networkx")
         from networkx.algorithms.isomorphism import GraphMatcher
-        atlas: dict[int, list] = {n: [] for n in CLASSES}
+        claw = nx.star_graph(3)
+        atlas: dict[int, list] = {n: [] for n in range(1, 8)}
         for h in nx.graph_atlas_g():
-            if 1 <= h.number_of_nodes() <= 6:
+            if h.number_of_nodes() in atlas:
                 atlas[h.number_of_nodes()].append(h)
         for n, graphs_n in atlas.items():
             classes = {_canonical(g.adj)[0]: g for g, _ in _graph_classes(n)}
             keys = []
+            claw_free = set()
             for h in graphs_n:
                 g = from_edge_list(n, h.edges())
                 key = _canonical(g.adj)[0]
                 keys.append(key)
                 autos = sum(1 for _ in GraphMatcher(h, h).isomorphisms_iter())
                 assert aut_count(classes[key]) == autos
+                if not GraphMatcher(h, claw).subgraph_is_isomorphic():
+                    claw_free.add(key)
             assert len(set(keys)) == len(keys) == len(classes)  # distinct, all hit
+            assert claw_free == {_canonical(g.adj)[0]
+                                 for g, _ in _graph_classes(n, claw_free=True)}
 
 
 class TestBuilders:

@@ -3,6 +3,7 @@ from __future__ import annotations
 import pytest
 
 from conftest import two_diamonds_graph
+from naive import naive_forcing_number
 from zforcing import verifier
 from zforcing import (
     Rule,
@@ -21,7 +22,7 @@ from zforcing import (
     star_graph,
     to_graph6,
 )
-from zforcing.graphs import _canonical, _rows_of_key
+from zforcing.graphs import _canonical, _graph_classes, _rows_of_key
 
 
 class TestCheckEquality:
@@ -134,6 +135,19 @@ class TestRunCorpus:
             run_corpus([], "nonsense")
 
 
+class TestNumbersDiffer:
+    def test_matches_naive_on_every_class(self):
+        # claw graphs and disconnected ones included; the star K_{1,3} has
+        # Z = 2 and Z+ = 1
+        for n in range(1, 7):
+            for g, _ in _graph_classes(n):
+                z = naive_forcing_number(g, "standard")
+                zp = naive_forcing_number(g, "psd")
+                assert verifier._numbers_differ(g) == (z != zp)
+        assert verifier._numbers_differ(star_graph(3))
+        assert not verifier._numbers_differ(two_diamonds_graph())
+
+
 class TestEnumeratedCorpus:
     def test_theorem_n4_frozen(self):
         summary = run_corpus_enumerated(4, "theorem")
@@ -188,7 +202,11 @@ class TestEnumeratedCorpus:
 
     def test_argument_validation(self):
         with pytest.raises(ValueError):
-            run_corpus_enumerated(8, "theorem")
+            run_corpus_enumerated(10, "theorem")
+        with pytest.raises(ValueError):
+            run_corpus_enumerated(8, "monotonicity")
+        with pytest.raises(ValueError):
+            run_corpus_enumerated(0, "theorem")
         with pytest.raises(ValueError):
             run_corpus_enumerated(4, "bogus")
 

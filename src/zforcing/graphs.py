@@ -238,26 +238,37 @@ def _rows_of_key(key: tuple[int, ...]) -> tuple[int, ...]:
 def _graph_classes(n: int, claw_free: bool = False) -> Iterator[tuple[Graph, int]]:
     """One graph per isomorphism class on n vertices, labeled by its
     canonical key, with its number of labeled copies n!/|Aut|, in ascending
-    key order. Each class on k vertices gains a vertex k adjacent to one
-    neighbourhood per orbit of Aut on vertex sets; the children are kept
-    once per canonical key (isomorph-free generation, after McKay, J.
-    Algorithms 26, 1998).
+    key order, by canonical deletion (McKay, "Isomorph-free exhaustive
+    generation", J. Algorithms 26, 1998). Each class on k vertices gains a
+    vertex k adjacent to one neighbourhood per orbit of Aut on vertex sets.
+    The child is kept only when k is in the orbit of its canonical deletion
+    vertex, the last vertex of largest degree in its canonical labeling, so
+    each class arises once, from the class left by deleting that vertex. A
+    neighbourhood that would not give k the largest degree is dropped
+    first: the test reads only degrees, so it drops whole orbits, and the
+    parent's automorphisms are found only once some neighbourhood passes.
 
     With claw_free only the classes without an induced claw are made.
     Deleting a vertex of a claw-free graph leaves it claw-free, so they all
     grow from claw-free parents. A claw in a child must contain the new
     vertex k, so its center is k or a neighbour of k; a child with such a
     center is dropped before it is canonicalized."""
-    level = {(0,): 1}  # canonical key -> |Aut|
+    level = [((0,), 1)]  # (canonical key, |Aut|)
     for k in range(1, n):
-        children: dict[tuple[int, ...], int] = {}
-        for key in level:
+        children = []
+        for key, _ in level:
             rows = _rows_of_key(key)
-            auts = _canonical(rows)[1]  # rows is canonically labeled
+            degs = [row.bit_count() for row in rows]
+            top = max(degs)
+            at_top = mask_of(v for v, dv in enumerate(degs) if dv == top)
+            auts = None
             seen = bytearray(1 << k)
             for nbrs in range(1 << k):
-                if seen[nbrs]:
+                d = nbrs.bit_count()
+                if seen[nbrs] or d < top or d == top and nbrs & at_top:
                     continue
+                if auts is None:
+                    auts = _canonical(rows)[1]  # rows is canonically labeled
                 for perm in auts:
                     seen[mask_of(perm[i] for i in bits(nbrs))] = 1
                 child = tuple(row | 1 << k if nbrs >> v & 1 else row
@@ -265,11 +276,13 @@ def _graph_classes(n: int, claw_free: bool = False) -> Iterator[tuple[Graph, int
                 if claw_free and _claw_centered(child, nbrs | 1 << k):
                     continue
                 child_key, labelings = _canonical(child)
-                children[child_key] = len(labelings)
+                p = max(i for i, v in enumerate(labelings[0]) if child[v].bit_count() == d)
+                if any(lab[p] == k for lab in labelings):
+                    children.append((child_key, len(labelings)))
         level = children
     labeled = math.factorial(n)
-    for key in sorted(level):
-        yield Graph._unchecked(n, _rows_of_key(key)), labeled // level[key]
+    for key, aut in sorted(level):
+        yield Graph._unchecked(n, _rows_of_key(key)), labeled // aut
 
 
 # ---------------------------------------------------------------------------

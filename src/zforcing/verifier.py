@@ -152,9 +152,9 @@ def _examine_one(g: Graph, weight: int, mode: str, solve_all: bool,
             summary.failures.append(to_graph6(g))
     else:  # monotonicity
         summary.checked += weight
-        z, _, _ = _search_min(g.adj, g.n, Rule.STANDARD)
-        zp, _, _ = _search_min(g.adj, g.n, Rule.PSD)
-        if zp > z:
+        # Z+ > Z exactly when the standard witness does not psd-force
+        _, witness, _ = _search_min(g.adj, g.n, Rule.STANDARD)
+        if _close(g.adj, witness, g.full_mask, True) != g.full_mask:
             summary.failures.append(to_graph6(g))
 
 

@@ -220,7 +220,9 @@ class TestEnumeration:
 
 
 # isomorphism classes of graphs on n vertices (OEIS A000088)
-CLASSES = {1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156}
+CLASSES = {1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156, 7: 1044}
+# the claw-free classes among them
+CLAW_FREE_CLASSES = {1: 1, 2: 2, 3: 4, 4: 10, 5: 26, 6: 85, 7: 302}
 
 
 def aut_count(g: Graph) -> int:
@@ -270,9 +272,10 @@ class TestGraphClasses:
 
     def test_claw_free_classes_are_the_claw_free_subset(self):
         # same keys, weights and order as filtering the full stream
-        for n in range(1, 8):
-            assert list(_graph_classes(n, claw_free=True)) == [
-                (g, w) for g, w in _graph_classes(n) if is_claw_free(g)]
+        for n, count in CLAW_FREE_CLASSES.items():
+            classes = list(_graph_classes(n, claw_free=True))
+            assert len(classes) == count
+            assert classes == [(g, w) for g, w in _graph_classes(n) if is_claw_free(g)]
 
     def test_claw_free_filter_drops_a_new_leaf(self):
         # K_{1,3} grows from the path P_3 by a vertex on the path's middle:

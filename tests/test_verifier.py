@@ -6,7 +6,6 @@ from conftest import two_diamonds_graph
 from naive import naive_forcing_number
 from zforcing import verifier
 from zforcing import (
-    Rule,
     check_equality,
     complete_graph,
     cycle_graph,
@@ -184,14 +183,14 @@ class TestEnumeratedCorpus:
     def test_class_failures_name_canonical_representatives(self, monkeypatch):
         # make the star K_{1,3} fail monotonicity: it is listed once, as
         # its representative, although it has four labeled copies
-        real = verifier._search_min
+        real = verifier._close
 
-        def flipped(adj, n, rule):
-            z, witness, tested = real(adj, n, rule)
-            star = n == 4 and sorted(row.bit_count() for row in adj) == [1, 1, 1, 3]
-            return (z + 10 if star and rule is Rule.PSD else z), witness, tested
+        def stalled(adj, blue, full, psd):
+            closed = real(adj, blue, full, psd)
+            star = len(adj) == 4 and sorted(row.bit_count() for row in adj) == [1, 1, 1, 3]
+            return closed >> 1 if star and psd else closed
 
-        monkeypatch.setattr(verifier, "_search_min", flipped)
+        monkeypatch.setattr(verifier, "_close", stalled)
         summary = run_corpus_enumerated(4, "monotonicity")
         assert summary.total == 64
         assert len(summary.failures) == 1

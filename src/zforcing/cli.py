@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 
@@ -247,7 +248,16 @@ def main(argv=None) -> int:
         traceback.print_exc()
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
-    print(json.dumps(doc, indent=2))
+    try:
+        print(json.dumps(doc, indent=2))
+    except BrokenPipeError as exc:
+        # The reader went away. Send what is still buffered to devnull, so
+        # that the interpreter's flush at exit does not fail a second time.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     return code
 
 

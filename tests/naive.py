@@ -90,12 +90,35 @@ def naive_chronological_list(g: Graph, initial: set[int], rule: str) -> list[tup
         blue.add(force[1])
 
 
-def naive_forcing_number(g: Graph, rule: str) -> int:
+def naive_search(g: Graph, rule: str) -> tuple[int, tuple[int, ...], int]:
+    """(size, lex-least minimum forcing set, candidates tried) for the whole
+    graph, trying every vertex set in size-ascending, lexicographic order."""
+    tried = 0
     for k in range(1, g.n + 1):
         for combo in itertools.combinations(range(g.n), k):
+            tried += 1
             if naive_is_forcing(g, set(combo), rule):
-                return k
+                return k, combo, tried
     raise AssertionError("unreachable: the full vertex set always forces")
+
+
+def naive_search_by_component(g: Graph, rule: str) -> tuple[int, tuple[int, ...], int]:
+    """naive_search on each connected component, summed. The witness is the
+    union of the component witnesses, in the labels of g."""
+    adj = nbrs(g)
+    size, witness, tried = 0, [], 0
+    for comp in comps_of(g, set(range(g.n))):
+        order = sorted(comp)
+        rows = [sum(1 << order.index(u) for u in adj[v]) for v in order]
+        k, combo, t = naive_search(Graph(len(order), rows), rule)
+        size += k
+        witness.extend(order[i] for i in combo)
+        tried += t
+    return size, tuple(sorted(witness)), tried
+
+
+def naive_forcing_number(g: Graph, rule: str) -> int:
+    return naive_search(g, rule)[0]
 
 
 def naive_minimum_sets(g: Graph, rule: str) -> list[tuple[int, ...]]:

@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import io
 import json
+import subprocess
+import sys
 
 import pytest
 
@@ -51,6 +53,13 @@ class TestSolve:
         assert doc["witness"] == [1, 2, 6]
         assert doc["tested"] == 40
         assert "minimum_sets" not in doc
+
+    def test_complete_24_finishes(self, capsys):
+        code, doc, _ = run_cli(
+            capsys, ["solve", "--rule", "psd", "--graph6", to_graph6(complete_graph(24))])
+        assert code == 0
+        assert doc["value"] == 23
+        assert doc["witness"] == list(range(1, 24))
 
     def test_cap_lists_sets(self, capsys, edges_file):
         code, doc, _ = run_cli(
@@ -348,6 +357,30 @@ class TestUsage:
         assert code == 3
         assert doc is None
         assert err.splitlines()[-1] == "internal error: AssertionError: lemma postcondition broke"
+
+    def test_closed_stdout_exits_2(self, capsys, monkeypatch, tmp_path):
+        with open(tmp_path / "out", "w") as target:
+            class ClosedPipe(io.StringIO):
+                def write(self, s):
+                    raise BrokenPipeError(32, "Broken pipe")
+
+                def fileno(self):
+                    return target.fileno()
+
+            monkeypatch.setattr("sys.stdout", ClosedPipe())
+            code = main(["verify", "--mode", "theorem", "--enumerate", "5"])
+        assert code == 2
+        assert capsys.readouterr().err == "error: [Errno 32] Broken pipe\n"
+
+    def test_closed_stdout_is_quiet_at_exit(self):
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "zforcing.cli", "verify", "--mode", "theorem",
+             "--enumerate", "5"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        proc.stdout.close()  # no reader is left when the document is written
+        _, err = proc.communicate(timeout=60)
+        assert proc.returncode == 2
+        assert err.decode() == "error: [Errno 32] Broken pipe\n"
 
 
 class TestDeterminism:

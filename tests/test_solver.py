@@ -3,8 +3,9 @@ from __future__ import annotations
 import pytest
 from hypothesis import given
 
-from conftest import graphs, two_diamonds_graph
-from naive import naive_forcing_number, naive_minimum_sets
+from conftest import TWO_DIAMONDS_EDGES, graphs, two_diamonds_graph
+from naive import (naive_forcing_number, naive_minimum_sets, naive_search,
+                   naive_search_by_component)
 from zforcing import (
     Rule,
     all_minimum_sets,
@@ -19,6 +20,12 @@ from zforcing import (
     path_graph,
     star_graph,
 )
+from zforcing.graphs import _graph_classes
+from zforcing.solver import _search_min
+
+
+def _as_naive(report):
+    return report.value, tuple(bits(report.witness)), report.tested
 
 
 class TestForcingNumber:
@@ -89,6 +96,47 @@ class TestForcingNumber:
     @given(graphs(min_n=1, max_n=6))
     def test_psd_never_above_standard(self, g):
         assert forcing_number(g, Rule.PSD).value <= forcing_number(g, Rule.STANDARD).value
+
+
+class TestSearchOrder:
+    """The search may visit sizes in any order, but its value, witness and
+    tested count must be those of the size-ascending search."""
+
+    def test_matches_reference_on_classes(self):
+        for n in range(1, 7):
+            for g, _ in _graph_classes(n):
+                for rule in Rule:
+                    k, combo, tried = naive_search(g, rule.value)
+                    assert _search_min(g.adj, g.n, rule) == (k, mask_of(combo), tried)
+                    assert _as_naive(forcing_number(g, rule)) == \
+                        naive_search_by_component(g, rule.value)
+
+    @given(graphs(min_n=1, max_n=8))
+    def test_matches_reference_random(self, g):
+        for rule in Rule:
+            assert _as_naive(forcing_number(g, rule)) == \
+                naive_search_by_component(g, rule.value)
+
+    def test_disconnected_sums_tested_per_component(self, two_diamonds):
+        c5 = cycle_graph(5)
+        g = from_edge_list(13, [(u, (u + 1) % 5) for u in range(5)]
+                           + [(u + 4, v + 4) for u, v in TWO_DIAMONDS_EDGES])
+        for rule in Rule:
+            k1, combo1, t1 = naive_search(c5, rule.value)
+            k2, combo2, t2 = naive_search(two_diamonds, rule.value)
+            report = forcing_number(g, rule)
+            assert report.value == k1 + k2
+            assert report.witness == mask_of(combo1) | mask_of(combo2) << 5
+            assert report.tested == t1 + t2
+
+    def test_complete_graphs_near_the_top(self):
+        for n in (20, 24):
+            g = complete_graph(n)
+            for rule in Rule:
+                report = forcing_number(g, rule)
+                assert report.value == n - 1
+                assert report.witness == mask_of(range(n - 1))
+                assert report.tested == 2 ** n - n - 1
 
 
 class TestAllMinimumSets:

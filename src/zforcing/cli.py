@@ -21,7 +21,7 @@ from .graphs import (Graph, components, find_claws, is_claw_free,
 from .forcing import Rule, chronological_list, closure, expansion_sequence
 from .bundles import build_bundle, terminus
 from .reconnection import connected_complement_trace, improve_component
-from .solver import all_minimum_sets, forcing_number
+from .solver import _minimum_sets, forcing_number
 from .verifier import MODES, is_zz_perfect_direct, run_corpus, run_corpus_enumerated
 
 
@@ -115,7 +115,7 @@ def _cmd_solve(args):
     report = forcing_number(g, Rule(args.rule))
     sets = None
     if args.cap is not None:
-        sets = all_minimum_sets(g, Rule(args.rule), args.cap)
+        sets = _minimum_sets(g, Rule(args.rule), report.value, args.cap)
     return docs.solve_document(g.n, report, sets), 0
 
 

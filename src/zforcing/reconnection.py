@@ -15,8 +15,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .graphs import Graph, bits, components, is_connected, mask_of, reach
-from .forcing import (Force, Rule, _parts, _split, _valid,
-                      chronological_list, expansion_sequence, is_forcing_set)
+from .forcing import (Chronology, ChronologyError, Force, Rule, _parts,
+                      _split, _valid, chronological_list, expansion_sequence,
+                      is_forcing_set)
 from .bundles import build_bundle, terminus
 from .solver import forcing_number
 
@@ -88,15 +89,16 @@ def improve_component(g: Graph, s: int, c: int) -> "ReconnectionStep | Minimalit
     """
     if not is_connected(g):
         raise ValueError("graph must be connected")
-    if not is_forcing_set(g, s, Rule.PSD):
-        raise ValueError("s is not a psd forcing set")
+    try:
+        f = chronological_list(g, s, Rule.PSD)
+    except ChronologyError:
+        raise ValueError("s is not a psd forcing set") from None
     _validate_component(g, s, c)
     if len(components(g, g.full_mask & ~s)) < 2:
         raise ValueError("g - s is already connected")
 
     s0 = boundary_set(g, s, c)
     x = find_pivot(g, s, c)
-    f = chronological_list(g, s, Rule.PSD)
     t = first_saturation_time(g, f, x, c)
 
     if t == 0:
@@ -117,14 +119,19 @@ def improve_component(g: Graph, s: int, c: int) -> "ReconnectionStep | Minimalit
     if not g.adj[x] >> w_star & 1 or c >> w_star & 1:
         raise AssertionError("w* must be a neighbor of x outside c")
 
+    # f' keeps f's first t - 1 forces, so its states up to t - 1 are f's
     order = [next(iter(step)) for step in f.steps[: t - 1]]
-    order.append(Force(x, w_star))
     blue = s | mask_of(fc.target for fc in order)
+    parts = _parts(g.adj, blue, g.full_mask & ~blue, True)
+    if Force(x, w_star) not in _valid(parts):
+        raise AssertionError("x must force w* at step t")
+    order.append(Force(x, w_star))
+    blue |= 1 << w_star
+    _split(g.adj, parts, blue, w_star, True)
     # regenerate the tail: replay the original force when still valid,
     # otherwise fall back to the lex-least valid force; a pending force
     # whose target is already blue is never valid, so it can stay listed
     pending = [next(iter(step)) for step in f.steps[t:]]
-    parts = _parts(g.adj, blue, g.full_mask & ~blue, True)
     while blue != g.full_mask:
         valid = _valid(parts)
         i = next((i for i, fc in enumerate(pending) if fc in valid), None)
@@ -133,7 +140,7 @@ def improve_component(g: Graph, s: int, c: int) -> "ReconnectionStep | Minimalit
         blue |= 1 << chosen.target
         _split(g.adj, parts, blue, chosen.target, True)
 
-    f_prime = chronological_list(g, s, Rule.PSD, replay=order)
+    f_prime = Chronology(s, tuple(frozenset([fc]) for fc in order), Rule.PSD)
     bundle = build_bundle(g, f_prime, w_star)
     s_prime = terminus(g, f_prime, bundle)
 

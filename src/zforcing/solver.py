@@ -1,8 +1,15 @@
 """Exact forcing numbers by exhaustive search over candidate sets.
 
-Within one size, candidate sets are tried in lexicographic order, and the
-first whose closure colors everything is that size's witness. Sizes are
-visited in this order:
+Within one size k, candidate sets are tried in lexicographic order, and
+the first whose closure colors everything is that size's witness. The
+scan walks each (k - 1)-prefix P with every last vertex v > max(P). A
+later P + v' with v' inside a failed closure cl(P + v) lies inside that
+closed set, so it cannot force and is skipped without a closure. This
+holds under both rules: their closures are monotone and idempotent, since
+a valid force stays valid when more vertices are blue, unless its target
+is one of them.
+
+Sizes are visited in this order:
 
 - Every size up to lo fails without a search. lo is 0 under psd and
   min degree - 1 under the standard rule, because a first standard force
@@ -15,8 +22,9 @@ visited in this order:
 Either way the witness is the lexicographically least minimum set.
 `tested` is the number of candidates a size-ascending search would have
 tried: every set of size 1 .. Z - 1, plus the witness's 1-based position
-among the size-Z sets. It depends on the graph and the rule only.
-Disconnected inputs are solved per component and summed.
+among the size-Z sets, skipped candidates included. It depends on the
+graph and the rule only. Disconnected inputs are solved per component
+and summed.
 """
 from __future__ import annotations
 
@@ -24,6 +32,7 @@ import itertools
 import math
 import time
 from dataclasses import dataclass
+from typing import Iterator
 
 from .graphs import Graph, bits, components, induced_subgraph, mask_of
 from .forcing import Rule, _close, _rule
@@ -38,19 +47,37 @@ class SolverReport:
     elapsed_ms: float
 
 
+def _forcing_sets_of_size(adj: tuple[int, ...], n: int, k: int,
+                          psd: bool) -> Iterator[tuple[int, int]]:
+    """Yield (forcing set, 1-based lex position among the size-k sets) for
+    every size-k forcing set of one whole graph, in lexicographic order.
+    Candidates inside a failed closure of their prefix are skipped; see the
+    module docstring."""
+    full = (1 << n) - 1
+    if not k:  # the empty set forces the empty graph only
+        if not full:
+            yield 0, 1
+        return
+    before = 0  # size-k sets of earlier prefixes
+    for prefix in itertools.combinations(range(n - 1), k - 1):
+        start = prefix[-1] + 1 if prefix else 0
+        base = mask_of(prefix)
+        rest = full >> start << start
+        while rest:
+            low = rest & -rest
+            closed = _close(adj, base | low, full, psd)
+            if closed == full:
+                yield base | low, before + low.bit_length() - start
+                rest ^= low
+            else:
+                rest &= ~closed
+        before += n - start
+
+
 def _first_of_size(adj: tuple[int, ...], n: int, k: int, psd: bool) -> tuple[int, int]:
     """(lex-least forcing set of size k, or 0 if there is none; candidates
     tested) for one whole graph."""
-    full = (1 << n) - 1
-    tested = 0
-    for combo in itertools.combinations(range(n), k):
-        blue = 0
-        for v in combo:
-            blue |= 1 << v
-        tested += 1
-        if _close(adj, blue, full, psd) == full:
-            return blue, tested
-    return 0, tested
+    return next(_forcing_sets_of_size(adj, n, k, psd), (0, math.comb(n, k)))
 
 
 def _search_min(adj: tuple[int, ...], n: int, rule: Rule) -> tuple[int, int, int]:
@@ -104,15 +131,12 @@ def forcing_number(g: Graph, rule: "Rule | str") -> SolverReport:
 def all_minimum_sets(g: Graph, rule: "Rule | str", cap: int = 1000) -> list[int]:
     """Up to cap minimum forcing sets, lexicographic order."""
     rule = _rule(rule)
+    return _minimum_sets(g, rule, forcing_number(g, rule).value, cap)
+
+
+def _minimum_sets(g: Graph, rule: Rule, z: int, cap: int) -> list[int]:
+    """all_minimum_sets for a caller that already knows Z."""
     if cap < 1:
         raise ValueError("cap must be at least 1")
-    z = forcing_number(g, rule).value
-    full = g.full_mask
-    out = []
-    for combo in itertools.combinations(range(g.n), z):
-        blue = mask_of(combo)
-        if _close(g.adj, blue, full, rule is Rule.PSD) == full:
-            out.append(blue)
-            if len(out) == cap:
-                break
-    return out
+    found = _forcing_sets_of_size(g.adj, g.n, z, rule is Rule.PSD)
+    return [blue for blue, _ in itertools.islice(found, cap)]

@@ -9,7 +9,7 @@ import pytest
 
 from conftest import TWO_DIAMONDS_EDGES, two_diamonds_graph
 from zforcing import CorpusSummary, complete_graph, path_graph, to_graph6
-from zforcing import cli, verifier
+from zforcing import cli, solver, verifier
 from zforcing.cli import main
 
 
@@ -67,6 +67,19 @@ class TestSolve:
         assert code == 0
         assert len(doc["minimum_sets"]) == 5
         assert doc["minimum_sets"][0] == [1, 2, 6]
+
+    def test_cap_searches_once(self, capsys, monkeypatch):
+        calls = []
+        search = solver._search_min
+        monkeypatch.setattr(solver, "_search_min",
+                            lambda *args: calls.append(args) or search(*args))
+        code, doc, _ = run_cli(capsys, ["solve", "--rule", "psd", "--cap", "3",
+                                        "--graph6", to_graph6(complete_graph(12))])
+        assert code == 0
+        assert doc["value"] == 11
+        assert doc["minimum_sets"] == [list(range(1, 12)), list(range(1, 11)) + [12],
+                                       list(range(1, 10)) + [11, 12]]
+        assert len(calls) == 1
 
     def test_bad_cap(self, capsys, edges_file):
         code, doc, err = run_cli(

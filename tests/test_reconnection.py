@@ -5,6 +5,7 @@ import random
 import pytest
 
 from conftest import mk
+from zforcing import reconnection
 from zforcing import (
     MinimalityRefutation,
     ReconnectionStep,
@@ -20,6 +21,7 @@ from zforcing import (
     find_pivot,
     first_saturation_time,
     forcing_number,
+    from_edge_list,
     graph_from_edge_mask,
     improve_component,
     is_connected,
@@ -103,6 +105,23 @@ class TestImproveComponent:
             improve_component(g4, mask_of([1, 2]), mask_of([0, 3]))  # not a component
         with pytest.raises(ValueError):
             improve_component(path_graph(3), mask_of([0]), mask_of([1, 2]))  # g-s connected
+
+    def test_forcing_checked_before_component(self):
+        # s = {0} does not force C4, and {2} is not a component of C4 - s
+        with pytest.raises(ValueError, match="s is not a psd forcing set"):
+            improve_component(cycle_graph(4), mask_of([0]), mask_of([2]))
+
+    def test_wrong_saturation_time_raises(self, monkeypatch):
+        # triangle 0-1-2 with a pendant 3 on 1 and 4 on 0: from s = {0, 3}
+        # and c = {4}, x = 0 saturates at t = 3. One step early, step t's
+        # target is 1, and 0 -> 1 is not a valid force then, since 0 sees 1
+        # and 2 in one white component
+        g = from_edge_list(5, [(0, 1), (0, 2), (0, 4), (1, 2), (1, 3)])
+        s, c = mask_of([0, 3]), mask_of([4])
+        assert improve_component(g, s, c).t == 3
+        monkeypatch.setattr(reconnection, "first_saturation_time", lambda *args: 2)
+        with pytest.raises(AssertionError, match=r"x must force w\* at step t"):
+            improve_component(g, s, c)
 
     def _check_step(self, g, s, c, step):
         assert isinstance(step, ReconnectionStep)

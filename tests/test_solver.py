@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import random
+
 import pytest
 from hypothesis import given
 
@@ -20,6 +22,7 @@ from zforcing import (
     path_graph,
     star_graph,
 )
+from zforcing import solver
 from zforcing.graphs import _graph_classes
 from zforcing.solver import _search_min
 
@@ -137,6 +140,60 @@ class TestSearchOrder:
                 assert report.value == n - 1
                 assert report.witness == mask_of(range(n - 1))
                 assert report.tested == 2 ** n - n - 1
+
+
+def _trees_and_unicyclic(seed, sizes, per_size):
+    """For each n, per_size uniform random labeled trees (from Pruefer
+    sequences), each also with one more edge."""
+    rng = random.Random(seed)
+    out = []
+    for n in sizes:
+        for _ in range(per_size):
+            code = [rng.randrange(n) for _ in range(n - 2)]
+            degree = [1 + code.count(v) for v in range(n)]
+            edges = []
+            for v in code:
+                leaf = degree.index(1)
+                edges.append((leaf, v))
+                degree[leaf] -= 1
+                degree[v] -= 1
+            edges.append(tuple(v for v in range(n) if degree[v] == 1))
+            u, v = rng.sample(range(n), 2)
+            while (u, v) in edges or (v, u) in edges:
+                u, v = rng.sample(range(n), 2)
+            out.append(from_edge_list(n, edges))
+            out.append(from_edge_list(n, edges + [(u, v)]))
+    return out
+
+
+class TestPrunedScan:
+    """The lex scan skips candidates inside a failed closure of their
+    prefix; value, witness, tested and the minimum sets must not change."""
+
+    @pytest.mark.parametrize("rule, sizes, per_size",
+                             [(Rule.PSD, range(12, 21), 1),
+                              (Rule.STANDARD, range(3, 11), 4)],
+                             ids=["psd", "standard"])
+    def test_matches_reference(self, rule, sizes, per_size):
+        for g in _trees_and_unicyclic(9, sizes, per_size):
+            k, combo, tried = naive_search(g, rule.value)
+            assert _search_min(g.adj, g.n, rule) == (k, mask_of(combo), tried)
+            got = [tuple(bits(m)) for m in all_minimum_sets(g, rule)]
+            assert got == naive_minimum_sets(g, rule.value)
+
+    def test_fewer_closures_than_tested(self, monkeypatch):
+        # a 6-cycle on 4..9 with the path 0-1-2-3-4 hanging from it: cl({0})
+        # is the path, so 1..4 need no closure at size 1, nor {0, 2}, {0, 3}
+        # and {0, 4} at size 2; 8 closures for 15 candidates
+        g = from_edge_list(10, [(0, 1), (1, 2), (2, 3), (3, 4)]
+                           + [(4 + i, 4 + (i + 1) % 6) for i in range(6)])
+        calls = []
+        close = solver._close
+        monkeypatch.setattr(solver, "_close",
+                            lambda *args: calls.append(args) or close(*args))
+        report = forcing_number(g, Rule.PSD)
+        assert (report.value, report.witness, report.tested) == (2, mask_of([0, 5]), 15)
+        assert len(calls) < report.tested
 
 
 class TestAllMinimumSets:

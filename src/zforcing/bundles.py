@@ -9,14 +9,13 @@ force in the restriction of F to the bundle, one per path.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .graphs import Graph, bits, mask_of, reach
 from .forcing import Chronology, expansion_sequence, restrict_chronology
 
 
-@dataclass(frozen=True)
-class ComponentHistory:
+class ComponentHistory(NamedTuple):
     """comps[t] is the component of the white subgraph holding x at time t,
     for t = 0..t_x-1. Empty when x starts blue (t_x = 0)."""
 
@@ -25,8 +24,7 @@ class ComponentHistory:
     comps: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class PathBundle:
+class PathBundle(NamedTuple):
     x: int
     t_x: int
     paths: tuple[tuple[int, ...], ...]

@@ -15,7 +15,6 @@ expansion sequence records the blue set after each step.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .graphs import Graph, _reach_near, mask_of
@@ -35,8 +34,7 @@ class Force(NamedTuple):
     target: int
 
 
-@dataclass(frozen=True)
-class ColorState:
+class ColorState(NamedTuple):
     blue: int
     time: int = 0
 
@@ -49,8 +47,7 @@ class ChronologyError(ValueError):
         self.step = step
 
 
-@dataclass(frozen=True)
-class Chronology:
+class Chronology(NamedTuple):
     """Per-step force sets. steps[t] holds the forces applied going from
     time t to time t+1; every step is nonempty."""
 

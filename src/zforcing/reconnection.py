@@ -12,7 +12,7 @@ set yields a minimum psd forcing set with connected complement.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .graphs import Graph, bits, components, is_connected, mask_of, reach
 from .forcing import (Chronology, ChronologyError, Force, Rule, _parts,
@@ -22,8 +22,7 @@ from .bundles import build_bundle, terminus
 from .solver import forcing_number
 
 
-@dataclass(frozen=True)
-class ReconnectionStep:
+class ReconnectionStep(NamedTuple):
     s: int
     c: int
     boundary: int
@@ -33,8 +32,7 @@ class ReconnectionStep:
     s_prime: int
 
 
-@dataclass(frozen=True)
-class MinimalityRefutation:
+class MinimalityRefutation(NamedTuple):
     """Witness that s was not minimum: removing y leaves a forcing set."""
 
     y: int
@@ -71,16 +69,6 @@ def first_saturation_time(g: Graph, f, x: int, c: int) -> int:
     raise ValueError("closed neighborhood never saturates; not a forcing run")
 
 
-def _validate_component(g: Graph, s: int, c: int) -> None:
-    if not c:
-        raise ValueError("component is empty")
-    if c & s:
-        raise ValueError("component overlaps s")
-    white = g.full_mask & ~s
-    if reach(g.adj, c & -c, white) != c:
-        raise ValueError("c is not a component of g - s")
-
-
 def improve_component(g: Graph, s: int, c: int) -> "ReconnectionStep | MinimalityRefutation":
     """One component-enlargement step; see the module docstring.
 
@@ -93,10 +81,20 @@ def improve_component(g: Graph, s: int, c: int) -> "ReconnectionStep | Minimalit
         f = chronological_list(g, s, Rule.PSD)
     except ChronologyError:
         raise ValueError("s is not a psd forcing set") from None
-    _validate_component(g, s, c)
-    if len(components(g, g.full_mask & ~s)) < 2:
+    if not c:
+        raise ValueError("component is empty")
+    if c & s:
+        raise ValueError("component overlaps s")
+    white = g.full_mask & ~s
+    if reach(g.adj, c & -c, white) != c:
+        raise ValueError("c is not a component of g - s")
+    if len(components(g, white)) < 2:
         raise ValueError("g - s is already connected")
+    return _improve(g, s, c, f)
 
+
+def _improve(g: Graph, s: int, c: int, f: Chronology) -> "ReconnectionStep | MinimalityRefutation":
+    """improve_component past its checks; f is the lex psd list from s."""
     s0 = boundary_set(g, s, c)
     x = find_pivot(g, s, c)
     t = first_saturation_time(g, f, x, c)
@@ -172,7 +170,8 @@ def connected_complement_trace(g: Graph) -> tuple[int, list[ReconnectionStep]]:
         if len(comps) <= 1:
             return s, steps
         c = max(comps, key=lambda m: m.bit_count())  # list is least-member sorted
-        result = improve_component(g, s, c)
+        # g is connected, s forces and c is a component of a split g - s
+        result = _improve(g, s, c, chronological_list(g, s, Rule.PSD))
         # a minimum set can never trigger the refutation branch
         if not isinstance(result, ReconnectionStep):
             raise AssertionError("a minimum psd forcing set was refuted")

@@ -31,15 +31,13 @@ from __future__ import annotations
 import itertools
 import math
 import time
-from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .graphs import Graph, bits, components, induced_subgraph, mask_of
 from .forcing import Rule, _close, _rule
 
 
-@dataclass(frozen=True)
-class SolverReport:
+class SolverReport(NamedTuple):
     rule: Rule
     value: int
     witness: int

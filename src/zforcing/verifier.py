@@ -18,7 +18,8 @@ run_corpus_enumerated.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from types import SimpleNamespace
+from typing import NamedTuple
 
 from .graphs import (Graph, _graph_classes, induced_subgraph, is_claw_free,
                      is_connected, to_graph6)
@@ -28,8 +29,7 @@ from .solver import _first_of_size, _search_min, forcing_number
 MODES = ("theorem", "corollary", "monotonicity")
 
 
-@dataclass(frozen=True)
-class EqualityReport:
+class EqualityReport(NamedTuple):
     graph6: str
     n: int
     z: int
@@ -39,30 +39,34 @@ class EqualityReport:
     connected: bool
 
 
-@dataclass(frozen=True)
-class MirrorStep:
+class MirrorStep(NamedTuple):
     time: int
     force: Force
     white_connected: bool
     standard_valid: bool
 
 
-@dataclass(frozen=True)
-class MirrorReport:
+class MirrorReport(NamedTuple):
     passed: bool
     steps: tuple[MirrorStep, ...]
     reason: str = ""
 
 
-@dataclass
-class CorpusSummary:
-    mode: str
-    total: int = 0
-    claw_free: int = 0
-    checked: int = 0
-    failures: list[str] = field(default_factory=list)
-    informational: list[str] = field(default_factory=list)
-    errors: list[str] = field(default_factory=list)
+class CorpusSummary(SimpleNamespace):
+    """The one mutable record: a corpus run adds to it graph by graph."""
+
+    def __init__(self, mode: str, total: int = 0, claw_free: int = 0,
+                 checked: int = 0, failures: list[str] | None = None,
+                 informational: list[str] | None = None,
+                 errors: list[str] | None = None):
+        super().__init__(
+            mode=mode, total=total, claw_free=claw_free, checked=checked,
+            failures=[] if failures is None else failures,
+            informational=[] if informational is None else informational,
+            errors=[] if errors is None else errors)
+
+    def __reduce__(self):  # SimpleNamespace's own would call __init__ without mode
+        return type(self), (self.mode,), vars(self)
 
 
 def check_equality(g: Graph) -> EqualityReport:

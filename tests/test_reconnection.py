@@ -97,14 +97,18 @@ class TestImproveComponent:
 
     def test_precondition_errors(self):
         g4 = path_graph(4)
-        with pytest.raises(ValueError):
-            improve_component(mk(2, []), 1, 2)            # disconnected graph
-        with pytest.raises(ValueError):
-            improve_component(cycle_graph(4), mask_of([0]), mask_of([1, 2, 3]))  # not forcing
-        with pytest.raises(ValueError):
-            improve_component(g4, mask_of([1, 2]), mask_of([0, 3]))  # not a component
-        with pytest.raises(ValueError):
-            improve_component(path_graph(3), mask_of([0]), mask_of([1, 2]))  # g-s connected
+        with pytest.raises(ValueError, match="graph must be connected"):
+            improve_component(mk(2, []), 1, 2)
+        with pytest.raises(ValueError, match="s is not a psd forcing set"):
+            improve_component(cycle_graph(4), mask_of([0]), mask_of([1, 2, 3]))
+        with pytest.raises(ValueError, match="component is empty"):
+            improve_component(g4, mask_of([1, 2]), 0)
+        with pytest.raises(ValueError, match="component overlaps s"):
+            improve_component(g4, mask_of([1, 2]), mask_of([0, 1]))
+        with pytest.raises(ValueError, match="c is not a component of g - s"):
+            improve_component(g4, mask_of([1, 2]), mask_of([0, 3]))
+        with pytest.raises(ValueError, match="g - s is already connected"):
+            improve_component(path_graph(3), mask_of([0]), mask_of([1, 2]))
 
     def test_forcing_checked_before_component(self):
         # s = {0} does not force C4, and {2} is not a component of C4 - s
@@ -173,6 +177,22 @@ class TestConnectedComplement:
     def test_rejects_disconnected(self):
         with pytest.raises(ValueError):
             connected_complement_trace(mk(3, [(1, 2)]))
+
+    def test_preconditions_checked_once(self, monkeypatch):
+        # the trace splits g - s once per round and tests connectivity once,
+        # and its steps are still the ones improve_component returns
+        g = from_edge_list(5, [(0, 1), (0, 2), (0, 4), (1, 2), (1, 3)])
+        calls = {"components": 0, "is_connected": 0}
+        for name in calls:
+            def counted(*args, _real=getattr(reconnection, name), _name=name):
+                calls[_name] += 1
+                return _real(*args)
+            monkeypatch.setattr(reconnection, name, counted)
+        s, steps = connected_complement_trace(g)
+        assert len(steps) == 2
+        assert calls == {"components": 3, "is_connected": 1}
+        monkeypatch.undo()
+        assert steps == [improve_component(g, st.s, st.c) for st in steps]
 
     def test_exhaustive_small(self):
         for n in range(1, 6):

@@ -191,7 +191,8 @@ def _cells(adj: tuple[int, ...]) -> list[int]:
             cells[rank[s]] |= 1 << v
 
 
-def _canonical(adj: tuple[int, ...]) -> tuple[tuple[int, ...], list[tuple[int, ...]]]:
+def _canonical(adj: tuple[int, ...], cells: list[int] | None = None
+               ) -> tuple[tuple[int, ...], list[tuple[int, ...]]]:
     """Canonical key of a graph, and the labelings that reach it.
 
     A labeling fills positions 0..n-1 cell by cell, in cell order; its
@@ -200,10 +201,10 @@ def _canonical(adj: tuple[int, ...]) -> tuple[tuple[int, ...], list[tuple[int, .
     a time, keeping only the partial labelings whose prefix is least. The
     labelings returned (tuples of the vertex at each position) reach the
     key; automorphisms preserve the cells, so they form one coset of Aut
-    and there are |Aut| of them."""
+    and there are |Aut| of them. cells, if given, is _cells(adj)."""
     frontier: list[tuple[int, ...]] = [()]
     key = []
-    for cell in _cells(adj):
+    for cell in cells or _cells(adj):
         members = list(bits(cell))
         for _ in members:
             best = -1
@@ -247,6 +248,9 @@ def _graph_classes(n: int, claw_free: bool = False) -> Iterator[tuple[Graph, int
     neighbourhood that would not give k the largest degree is dropped
     first: the test reads only degrees, so it drops whole orbits, and the
     parent's automorphisms are found only once some neighbourhood passes.
+    The cells refine the degrees and are filled in order, so a child is
+    also dropped, before it is canonicalized, when k is not in the last
+    cell of degree-d vertices.
 
     With claw_free only the classes without an induced claw are made.
     Deleting a vertex of a claw-free graph leaves it claw-free, so they all
@@ -275,7 +279,11 @@ def _graph_classes(n: int, claw_free: bool = False) -> Iterator[tuple[Graph, int
                               for v, row in enumerate(rows)) + (nbrs,)
                 if claw_free and _claw_centered(child, nbrs | 1 << k):
                     continue
-                child_key, labelings = _canonical(child)
+                cells = _cells(child)
+                last = next(c for c in reversed(cells) if child[next(bits(c))].bit_count() == d)
+                if not last >> k & 1:  # p, below, lies in that cell
+                    continue
+                child_key, labelings = _canonical(child, cells)
                 p = max(i for i, v in enumerate(labelings[0]) if child[v].bit_count() == d)
                 if any(lab[p] == k for lab in labelings):
                     children.append((child_key, len(labelings)))

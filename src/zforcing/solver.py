@@ -11,13 +11,22 @@ is one of them.
 
 Sizes are visited in this order:
 
-- Every size up to lo fails without a search. lo is 0 under psd and
-  min degree - 1 under the standard rule, because a first standard force
-  needs a blue vertex with all but one of its neighbours blue.
-- Sizes lo + 1 .. 2 are tried ascending, and the first success returns.
+- Every size below min degree fails without a search, since
+  min degree <= tw(G) <= Z+(G) <= Z(G) (tree-width; see below).
+- Sizes up to 2 are tried ascending, and the first success returns.
 - Then sizes go down from n - 1 and stop at the first size with no forcing
-  set. A superset of a forcing set forces under both rules, so Z is the
-  last size that had one, and only size Z - 1 is searched in full.
+  set, or at b = _treewidth_bound <= tw(G). A superset of a forcing set
+  forces under both rules, so Z is the last size that had one. Only size
+  Z - 1 is searched in full, and not even that when Z = b. b is found only
+  for graphs with 10 edges or more: only b >= 4 moves the stop, and a
+  minor of min degree 4 has at least 10 edges.
+
+tw(G) <= Z+(G): let S psd-force G and W be a component of G - S. The first
+force into W is some u -> w with N(u) & W = {w}. Each component of W - w is
+forced from S - u + w, so by induction on |W| it has a decomposition of
+width <= |S| whose root bag holds S - u + w; hang each below a bag S + w.
+A bag S joins these for every W. Deleting a vertex or contracting an edge
+never raises tree-width, and min degree <= tree-width.
 
 Either way the witness is the lexicographically least minimum set.
 `tested` is the number of candidates a size-ascending search would have
@@ -82,18 +91,47 @@ def _search_min(adj: tuple[int, ...], n: int, rule: Rule) -> tuple[int, int, int
     """(size, witness mask, candidates tested) for one whole graph, in the
     size order the module docstring gives."""
     psd = rule is Rule.PSD
-    lo = 0 if psd else max(min(map(int.bit_count, adj)) - 1, 0)
+    lo = max(min(map(int.bit_count, adj)) - 1, 0)
     for k in range(lo + 1, min(n, 2) + 1):
         witness, t = _first_of_size(adj, n, k, psd)
         if witness:
             return k, witness, _below(n, k) + t
     z, witness, t = n, (1 << n) - 1, 1  # the full vertex set always forces
-    for k in range(n - 1, max(lo, 2), -1):
+    stop = 2
+    if sum(map(int.bit_count, adj)) >= 20:  # b < 4 leaves the stop at 2; see above
+        stop = max(_treewidth_bound(adj) - 1, 2)
+    for k in range(n - 1, stop, -1):
         found, pos = _first_of_size(adj, n, k, psd)
         if not found:
             break
         z, witness, t = k, found, pos
     return z, witness, _below(n, z) + t
+
+
+def _treewidth_bound(adj: tuple[int, ...]) -> int:
+    """A lower bound on tree-width, the contraction degeneracy with
+    least-common-neighbour contraction (Bodlaender, Koster and Wolle, 2006):
+    take a least-degree vertex, record its degree, and contract it into the
+    neighbour it shares fewest neighbours with, or delete it if isolated;
+    ties go to the lowest id. Every graph on the way is a minor of the
+    input, so the largest degree recorded is at most its tree-width."""
+    rows = list(adj)
+    deg = [row.bit_count() for row in rows]
+    left = list(range(len(rows)))
+    best = 0
+    while len(left) > best + 1:  # no degree left can exceed best
+        v = min(left, key=deg.__getitem__)
+        left.remove(v)
+        best = max(best, deg[v])
+        nbrs = rows[v]
+        if nbrs:
+            u = min(bits(nbrs), key=lambda w: (rows[w] & nbrs).bit_count())
+            for w in bits(nbrs):
+                rows[w] = rows[w] & ~(1 << v) | 1 << u
+                deg[w] = rows[w].bit_count()
+            rows[u] = (rows[u] | nbrs) & ~(1 << u)
+            deg[u] = rows[u].bit_count()
+    return best
 
 
 def _below(n: int, k: int) -> int:

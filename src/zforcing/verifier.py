@@ -24,7 +24,7 @@ from typing import NamedTuple
 from .graphs import (Graph, _graph_classes, induced_subgraph, is_claw_free,
                      is_connected, to_graph6)
 from .forcing import Force, Rule, _close, _forces, _parts, _split, _valid
-from .solver import _first_of_size, _search_min, forcing_number
+from .solver import _first_of_size, _search_min, _treewidth_bound, forcing_number
 
 MODES = ("theorem", "corollary", "monotonicity")
 
@@ -129,10 +129,13 @@ def _numbers_differ(g: Graph) -> bool:
     A standard forcing set is a psd forcing set, since every standard force
     is a psd force, so the lex-least standard witness of size Z psd-forces
     unless Z+ > Z. A superset of a psd forcing set is one too, so Z+ < Z
-    exactly when some set of size Z - 1 psd-forces."""
+    exactly when some set of size Z - 1 psd-forces; none does when Z is at
+    most the tree-width bound, since that is at most Z+."""
     z, witness, _ = _search_min(g.adj, g.n, Rule.STANDARD)
     if _close(g.adj, witness, g.full_mask, True) != g.full_mask:
         return True
+    if z <= _treewidth_bound(g.adj):
+        return False
     return bool(_first_of_size(g.adj, g.n, z - 1, True)[0])
 
 

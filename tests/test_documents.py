@@ -8,16 +8,20 @@ from conftest import two_diamonds_graph
 from zforcing import Rule, closure, forcing_number, mask_of
 from zforcing.documents import (
     bundle_document,
+    claws_document,
     connectify_document,
     improve_document,
     labels_of,
     mask_from_labels,
     parse_bundle_document,
+    parse_claws_document,
     parse_connectify_document,
     parse_improve_document,
+    parse_perfect_document,
     parse_solve_document,
     parse_trace_document,
     parse_verify_document,
+    perfect_document,
     solve_document,
     trace_document,
     verify_document,
@@ -25,6 +29,7 @@ from zforcing.documents import (
 from zforcing import (
     build_bundle,
     connected_complement_trace,
+    find_claws,
     improve_component,
     path_graph,
     run_corpus_enumerated,
@@ -96,6 +101,22 @@ class TestRoundTrips:
         n, back_final, back_steps = parse_connectify_document(json.loads(json.dumps(doc)))
         assert (n, back_final) == (4, final)
         assert back_steps == steps
+
+    def test_claws(self, two_diamonds):
+        g = star_graph(4)
+        claws = find_claws(g)
+        assert len(claws) == 4
+        doc = claws_document(5, claws)
+        assert doc["claw_free"] is False
+        assert (5, claws) == parse_claws_document(json.loads(json.dumps(doc)))
+        doc = claws_document(8, find_claws(two_diamonds))
+        assert doc["claw_free"] is True
+        assert (8, []) == parse_claws_document(json.loads(json.dumps(doc)))
+
+    def test_perfect(self):
+        for mode, perfect in (("direct", True), ("clawfree", False)):
+            doc = perfect_document(6, mode, perfect)
+            assert parse_perfect_document(json.loads(json.dumps(doc))) == (6, mode, perfect)
 
     def test_verify(self):
         summary = run_corpus_enumerated(3, "theorem")

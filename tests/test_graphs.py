@@ -312,6 +312,36 @@ class TestGraphClasses:
                                  for g, _ in _graph_classes(n, claw_free=True)}
 
 
+class TestClassCountTransforms:
+    """A claw is connected, so a graph is claw-free exactly when each of its
+    components is. In the claw-free stream as in the full one, the class
+    counts are then the Euler transform of the connected class counts, and
+    the labeled counts their exponential transform. A class made twice or
+    missed, or a wrong |Aut|, breaks an identity unless it hits the
+    connected and the disconnected classes alike."""
+
+    @pytest.mark.parametrize("claw_free", [False, True], ids=["all", "claw_free"])
+    def test_up_to_seven(self, claw_free):
+        top = 7
+        classes, labeled, conn_classes, conn_labeled = [1], [1], [0], [0]
+        for n in range(1, top + 1):
+            stream = list(_graph_classes(n, claw_free))
+            classes.append(len(stream))
+            labeled.append(sum(w for _, w in stream))
+            conn = [w for g, w in stream if is_connected(g)]
+            conn_classes.append(len(conn))
+            conn_labeled.append(sum(conn))
+        for n in range(1, top + 1):
+            b = [sum(d * conn_classes[d] for d in range(1, k + 1) if k % d == 0)
+                 for k in range(n + 1)]
+            assert n * classes[n] == sum(b[k] * classes[n - k] for k in range(1, n + 1))
+            assert labeled[n] == sum(math.comb(n - 1, k - 1) * conn_labeled[k] * labeled[n - k]
+                                     for k in range(1, n + 1))
+        if claw_free:
+            assert conn_classes[1:] == [1, 1, 2, 5, 14, 50, 191]
+            assert labeled[1:] == [1, 2, 8, 60, 769, 15272, 429682]
+
+
 class TestBuilders:
     def test_shapes(self):
         assert path_graph(5).edge_count == 4

@@ -17,6 +17,7 @@ from zforcing import (
     enumerate_graphs,
     forcing_number,
     from_edge_list,
+    is_connected,
     is_forcing_set,
     mask_of,
     path_graph,
@@ -237,3 +238,69 @@ class TestAllMinimumSets:
                 for rule, name in ((Rule.STANDARD, "standard"), (Rule.PSD, "psd")):
                     got = [tuple(bits(m)) for m in all_minimum_sets(g, rule)]
                     assert got == naive_minimum_sets(g, name)
+
+
+def _random_connected(seed, count, sizes, density):
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        n = rng.choice(sizes)
+        p = rng.uniform(*density)
+        g = from_edge_list(n, [(u, v) for u in range(n) for v in range(u + 1, n)
+                               if rng.random() < p])
+        if is_connected(g):
+            out.append(g)
+    return out
+
+
+class TestTreewidthBound:
+    """The contraction-degeneracy bound is at most tw(G) <= Z+(G) <= Z(G),
+    and the search stops its descent there."""
+
+    def test_below_both_numbers_on_classes(self):
+        for n in range(1, 7):
+            for g, _ in _graph_classes(n):
+                bound = solver._treewidth_bound(g.adj)
+                assert bound <= naive_forcing_number(g, "psd") \
+                    <= naive_forcing_number(g, "standard")
+
+    def test_known_values(self):
+        assert solver._treewidth_bound(from_edge_list(1, []).adj) == 0
+        assert solver._treewidth_bound(path_graph(6).adj) == 1
+        assert solver._treewidth_bound(cycle_graph(6).adj) == 2
+        assert solver._treewidth_bound(complete_graph(7).adj) == 6
+        grid = from_edge_list(16, [(4 * r + c, 4 * r + c + 1) for r in range(4) for c in range(3)]
+                              + [(4 * r + c, 4 * r + c + 4) for r in range(3) for c in range(4)])
+        assert solver._treewidth_bound(grid.adj) == 4  # the 4 x 4 grid's tree-width
+
+    def test_matches_reference_on_dense_random_graphs(self):
+        stopped = 0
+        graphs_ = _random_connected(11, 16, range(9, 12), (0.3, 0.7))
+        for g in graphs_:
+            for rule in Rule:
+                k, combo, tried = naive_search(g, rule.value)
+                assert _search_min(g.adj, g.n, rule) == (k, mask_of(combo), tried)
+                stopped += k == solver._treewidth_bound(g.adj)
+        assert stopped > len(graphs_)  # the bound ends most searches
+
+    def test_no_closure_below_the_bound(self, monkeypatch):
+        # K_{4,4} has Z+ = 4 = its bound, so the descent stops at size 4
+        g = from_edge_list(8, [(u, v) for u in range(4) for v in range(4, 8)])
+        assert solver._treewidth_bound(g.adj) == 4
+        sizes = set()
+        close = solver._close
+        monkeypatch.setattr(solver, "_close",
+                            lambda adj, blue, *rest: sizes.add(blue.bit_count())
+                            or close(adj, blue, *rest))
+        assert forcing_number(g, Rule.PSD).value == 4
+        assert min(sizes) == 4
+
+    def test_not_computed_without_need(self, monkeypatch):
+        # psd trees have Z+ = 1 and unicyclic graphs Z+ = 2, so size 2 ends
+        # the search; K_{1,5} has Z = 4 but too few edges for a bound of 4
+        def refuse(adj):
+            raise AssertionError("bound computed")
+        monkeypatch.setattr(solver, "_treewidth_bound", refuse)
+        for g in _trees_and_unicyclic(5, range(3, 30), 1):
+            assert forcing_number(g, Rule.PSD).value <= 2
+        assert forcing_number(star_graph(5), Rule.STANDARD).value == 4

@@ -192,26 +192,43 @@ def _cells(adj: tuple[int, ...]) -> list[int]:
 
 
 def _canonical(adj: tuple[int, ...], cells: list[int] | None = None
-               ) -> tuple[tuple[int, ...], list[tuple[int, ...]]]:
-    """Canonical key of a graph, and the labelings that reach it.
+               ) -> tuple[tuple[int, ...], list[tuple[int, ...]], list[int], int]:
+    """Canonical key of a graph, one labeling that reaches it per coset of
+    the twin group T (below), each vertex's twin class (a mask), and |Aut|.
 
     A labeling fills positions 0..n-1 cell by cell, in cell order; its
     adjacency tuple holds, for each position, the mask of earlier positions
     adjacent to it. The key is the least such tuple, found one position at
     a time, keeping only the partial labelings whose prefix is least. The
-    labelings returned (tuples of the vertex at each position) reach the
-    key; automorphisms preserve the cells, so they form one coset of Aut
-    and there are |Aut| of them. cells, if given, is _cells(adj)."""
-    frontier: list[tuple[int, ...]] = [()]
+    labelings that reach the key form one coset of Aut, since automorphisms
+    preserve the cells. cells, if given, is _cells(adj).
+
+    Twins are distinct vertices u, v with N(u) - v = N(v) - u. Each twin
+    class lies in one cell, and every permutation inside it is an
+    automorphism; call the group of these T. A vertex is placed only once
+    its lower-numbered twins are: sorting the twins of a least partial
+    labeling keeps its rows, so the least rows, and the key, stay the same,
+    and exactly one labeling per T-coset is returned (tuples of the vertex
+    at each position). So |Aut| is their number times the product of the
+    class sizes' factorials, and every labeling that reaches the key is
+    one returned with its vertices moved inside their twin classes."""
+    twin = [1 << v for v in range(len(adj))]
+    frontier: list[tuple[tuple[int, ...], int]] = [((), 0)]
     key = []
     for cell in cells or _cells(adj):
         members = list(bits(cell))
+        for i, v in enumerate(members):
+            for u in members[:i]:
+                if not (adj[u] ^ adj[v]) & ~(1 << u | 1 << v):
+                    twin[u] |= 1 << v
+                    twin[v] |= 1 << u
+        members = [(v, 1 << v, twin[v] & ((1 << v) - 1)) for v in members]
         for _ in members:
             best = -1
             nxt = []
-            for placed in frontier:
-                for v in members:
-                    if v in placed:
+            for placed, done in frontier:
+                for v, bit, lower in members:
+                    if done & bit or lower & ~done:
                         continue
                     a = adj[v]
                     row = 0
@@ -219,13 +236,14 @@ def _canonical(adj: tuple[int, ...], cells: list[int] | None = None
                         if a >> u & 1:
                             row |= 1 << j
                     if row == best:
-                        nxt.append(placed + (v,))
+                        nxt.append((placed + (v,), done | bit))
                     elif best < 0 or row < best:
                         best = row
-                        nxt = [placed + (v,)]
+                        nxt = [(placed + (v,), done | bit)]
             key.append(best)
             frontier = nxt
-    return tuple(key), frontier
+    aut = len(frontier) * math.prod(math.factorial(c.bit_count()) for c in set(twin))
+    return tuple(key), [placed for placed, _ in frontier], twin, aut
 
 
 def _rows_of_key(key: tuple[int, ...]) -> tuple[int, ...]:
@@ -252,6 +270,16 @@ def _graph_classes(n: int, claw_free: bool = False) -> Iterator[tuple[Graph, int
     also dropped, before it is canonicalized, when k is not in the last
     cell of degree-d vertices.
 
+    The parent is labeled by its key, so the labelings that reach the key
+    are its automorphisms. _canonical returns one per coset of the twin
+    group T, and every automorphism is t o L for some t in T and returned
+    L. So a neighbourhood's orbit is marked as, for each L, every mask with
+    as many members as L(nbrs) in each twin class and the same members
+    outside them. The child's test needs no twin step: k is in the orbit
+    of position p exactly when some returned L has a twin of k at p, and
+    that twin is k itself, since p is the last position of k's cell and L
+    places k after its twins, which have lower ids.
+
     With claw_free only the classes without an induced claw are made.
     Deleting a vertex of a claw-free graph leaves it claw-free, so they all
     grow from claw-free parents. A claw in a child must contain the new
@@ -271,10 +299,18 @@ def _graph_classes(n: int, claw_free: bool = False) -> Iterator[tuple[Graph, int
                 d = nbrs.bit_count()
                 if seen[nbrs] or d < top or d == top and nbrs & at_top:
                     continue
-                if auts is None:
-                    auts = _canonical(rows)[1]  # rows is canonically labeled
+                if auts is None:  # rows is canonically labeled
+                    _, auts, twin, _ = _canonical(rows)
+                    classes = [c for c in set(twin) if c & c - 1]
+                    alone = ~sum(classes)
                 for perm in auts:
-                    seen[mask_of(perm[i] for i in bits(nbrs))] = 1
+                    m = mask_of(perm[i] for i in bits(nbrs))
+                    marks = [m & alone]
+                    for c in classes:
+                        marks = [a | mask_of(t) for a in marks
+                                 for t in itertools.combinations(bits(c), (m & c).bit_count())]
+                    for mark in marks:
+                        seen[mark] = 1
                 child = tuple(row | 1 << k if nbrs >> v & 1 else row
                               for v, row in enumerate(rows)) + (nbrs,)
                 if claw_free and _claw_centered(child, nbrs | 1 << k):
@@ -283,10 +319,10 @@ def _graph_classes(n: int, claw_free: bool = False) -> Iterator[tuple[Graph, int
                 last = next(c for c in reversed(cells) if child[next(bits(c))].bit_count() == d)
                 if not last >> k & 1:  # p, below, lies in that cell
                     continue
-                child_key, labelings = _canonical(child, cells)
+                child_key, labelings, _, aut = _canonical(child, cells)
                 p = max(i for i, v in enumerate(labelings[0]) if child[v].bit_count() == d)
                 if any(lab[p] == k for lab in labelings):
-                    children.append((child_key, len(labelings)))
+                    children.append((child_key, aut))
         level = children
     labeled = math.factorial(n)
     for key, aut in sorted(level):

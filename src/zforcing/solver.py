@@ -90,22 +90,30 @@ def _first_of_size(adj: tuple[int, ...], n: int, k: int, psd: bool) -> tuple[int
 def _search_min(adj: tuple[int, ...], n: int, rule: Rule) -> tuple[int, int, int]:
     """(size, witness mask, candidates tested) for one whole graph, in the
     size order the module docstring gives."""
+    return _search_min_bound(adj, n, rule)[:3]
+
+
+def _search_min_bound(adj: tuple[int, ...], n: int, rule: Rule
+                      ) -> tuple[int, int, int, int | None]:
+    """_search_min's triple, plus the tree-width bound if the search
+    computed it, else None."""
     psd = rule is Rule.PSD
     lo = max(min(map(int.bit_count, adj)) - 1, 0)
     for k in range(lo + 1, min(n, 2) + 1):
         witness, t = _first_of_size(adj, n, k, psd)
         if witness:
-            return k, witness, _below(n, k) + t
+            return k, witness, _below(n, k) + t, None
     z, witness, t = n, (1 << n) - 1, 1  # the full vertex set always forces
-    stop = 2
+    stop, bound = 2, None
     if sum(map(int.bit_count, adj)) >= 20:  # b < 4 leaves the stop at 2; see above
-        stop = max(_treewidth_bound(adj) - 1, 2)
+        bound = _treewidth_bound(adj)
+        stop = max(bound - 1, 2)
     for k in range(n - 1, stop, -1):
         found, pos = _first_of_size(adj, n, k, psd)
         if not found:
             break
         z, witness, t = k, found, pos
-    return z, witness, _below(n, z) + t
+    return z, witness, _below(n, z) + t, bound
 
 
 def _treewidth_bound(adj: tuple[int, ...]) -> int:

@@ -24,7 +24,8 @@ from typing import NamedTuple
 from .graphs import (Graph, _graph_classes, induced_subgraph, is_claw_free,
                      is_connected, to_graph6)
 from .forcing import Force, Rule, _close, _forces, _parts, _split, _valid
-from .solver import _first_of_size, _search_min, _treewidth_bound, forcing_number
+from .solver import (_first_of_size, _search_min, _search_min_bound, _treewidth_bound,
+                     forcing_number)
 
 MODES = ("theorem", "corollary", "monotonicity")
 
@@ -131,10 +132,10 @@ def _numbers_differ(g: Graph) -> bool:
     unless Z+ > Z. A superset of a psd forcing set is one too, so Z+ < Z
     exactly when some set of size Z - 1 psd-forces; none does when Z is at
     most the tree-width bound, since that is at most Z+."""
-    z, witness, _ = _search_min(g.adj, g.n, Rule.STANDARD)
+    z, witness, _, bound = _search_min_bound(g.adj, g.n, Rule.STANDARD)
     if _close(g.adj, witness, g.full_mask, True) != g.full_mask:
         return True
-    if z <= _treewidth_bound(g.adj):
+    if z <= (_treewidth_bound(g.adj) if bound is None else bound):
         return False
     return bool(_first_of_size(g.adj, g.n, z - 1, True)[0])
 

@@ -140,3 +140,49 @@ def naive_claws(g: Graph) -> set[tuple[int, tuple[int, int, int]]]:
             if b not in adj[a] and d not in adj[a] and d not in adj[b]:
                 found.add((c, trio))
     return found
+
+
+def naive_cells(g: Graph) -> list[list[int]]:
+    """Iterated degree refinement: start from one cell and split the vertices
+    by how many neighbours they have in each current cell, ordering the new
+    cells by those counts, until no cell splits."""
+    adj = nbrs(g)
+    cells = [list(range(g.n))]
+    while True:
+        sets = [set(cell) for cell in cells]
+        sig = {v: tuple(len(adj[v] & cell) for cell in sets) for v in range(g.n)}
+        order = sorted(set(sig.values()))
+        if len(order) == len(cells):
+            return cells
+        cells = [[v for v in range(g.n) if sig[v] == s] for s in order]
+
+
+def naive_canonical(g: Graph) -> tuple[tuple[int, ...], list[tuple[int, ...]]]:
+    """(canonical key, every labeling that reaches it), by the frontier search
+    without any pruning. A labeling lists the vertex at each position and
+    fills the cells in order; its row at a position is the mask of earlier
+    positions adjacent to it, and the key is the least tuple of rows. Every
+    partial labeling whose rows so far are least is kept, so the labelings
+    returned are one coset of Aut and there are |Aut| of them."""
+    adj = [[u in near for u in range(g.n)] for near in nbrs(g).values()]
+    frontier: list[tuple[int, ...]] = [()]
+    key = []
+    for cell in naive_cells(g):
+        for _ in cell:
+            best, nxt = None, []
+            for placed in frontier:
+                for v in cell:
+                    if v in placed:
+                        continue
+                    row, bit = 0, 1
+                    for u in placed:
+                        if adj[v][u]:
+                            row += bit
+                        bit += bit
+                    if row == best:
+                        nxt.append(placed + (v,))
+                    elif best is None or row < best:
+                        best, nxt = row, [placed + (v,)]
+            key.append(best)
+            frontier = nxt
+    return tuple(key), frontier

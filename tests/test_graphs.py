@@ -1,13 +1,15 @@
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+import operator
 
 import pytest
 from hypothesis import given, strategies as st
 
 from conftest import graphs, two_diamonds_graph
-from naive import naive_claws, naive_edge_mask
+from naive import naive_canonical, naive_claws, naive_edge_mask
 from zforcing import (
     Graph,
     bits,
@@ -226,7 +228,7 @@ CLAW_FREE_CLASSES = {1: 1, 2: 2, 3: 4, 4: 10, 5: 26, 6: 85, 7: 302}
 
 
 def aut_count(g: Graph) -> int:
-    return len(_canonical(g.adj)[1])
+    return _canonical(g.adj)[3]
 
 
 class TestGraphClasses:
@@ -310,6 +312,52 @@ class TestGraphClasses:
             assert len(set(keys)) == len(keys) == len(classes)  # distinct, all hit
             assert claw_free == {_canonical(g.adj)[0]
                                  for g, _ in _graph_classes(n, claw_free=True)}
+
+
+def twin_heavy(n: int):
+    """Graphs on n vertices whose twin classes are large: K_n, the empty
+    graph, K_{a,b} and, for even n, K_n minus a perfect matching."""
+    yield complete_graph(n)
+    yield from_edge_list(n, [])
+    for a in range(1, n // 2 + 1):
+        yield from_edge_list(n, [(u, v) for u in range(a) for v in range(a, n)])
+    if n % 2 == 0:
+        yield from_edge_list(n, [(u, v) for u, v in itertools.combinations(range(n), 2)
+                                 if v != u + 1 or u % 2])
+
+
+class TestCanonicalOracle:
+    """_canonical keeps one labeling per coset of the group T that permutes
+    twins; naive_canonical keeps every labeling that reaches the key. They
+    must agree on the key, on |Aut|, and on the vertex orbits, which
+    _canonical gives as the union, over its labelings, of the twin class of
+    the vertex at each position."""
+
+    @staticmethod
+    def agree(g: Graph) -> None:
+        key, labelings, twin, aut = _canonical(g.adj)
+        want, everyone = naive_canonical(g)
+        assert key == want
+        assert aut == len(everyone)
+        assert set(labelings) <= set(everyone)
+        orbits = {mask_of(set(column)) for column in zip(*everyone)}
+        assert orbits == {functools.reduce(operator.or_, map(twin.__getitem__, column))
+                          for column in zip(*labelings)}
+
+    def test_every_labeled_graph_to_five(self):
+        for n in range(1, 6):
+            for g in enumerate_graphs(n):
+                self.agree(g)
+
+    def test_every_class_to_seven(self):
+        for n in range(1, 8):
+            for g, _ in _graph_classes(n):
+                self.agree(g)
+
+    def test_twin_heavy_families_at_eight(self):
+        # every such graph on fewer vertices is one of the classes above
+        for g in twin_heavy(8):
+            self.agree(g)
 
 
 class TestClassCountTransforms:

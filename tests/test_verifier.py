@@ -4,7 +4,7 @@ import pytest
 
 from conftest import two_diamonds_graph
 from naive import naive_forcing_number
-from zforcing import verifier
+from zforcing import solver, verifier
 from zforcing import (
     check_equality,
     complete_graph,
@@ -145,6 +145,23 @@ class TestNumbersDiffer:
                 assert verifier._numbers_differ(g) == (z != zp)
         assert verifier._numbers_differ(star_graph(3))
         assert not verifier._numbers_differ(two_diamonds_graph())
+
+    def test_tree_width_bound_found_once(self, monkeypatch):
+        # the bound the standard search found is the one the psd step reads
+        calls = []
+        real = solver._treewidth_bound
+
+        def counted(adj):
+            calls.append(adj)
+            return real(adj)
+
+        monkeypatch.setattr(solver, "_treewidth_bound", counted)
+        monkeypatch.setattr(verifier, "_treewidth_bound", counted)
+        for g in (complete_graph(7), cycle_graph(7)) + tuple(g for g, _ in _graph_classes(6)):
+            calls.clear()
+            verifier._numbers_differ(g)
+            assert len(calls) <= 1
+        assert solver._search_min_bound(complete_graph(7).adj, 7, solver.Rule.STANDARD)[3] == 6
 
 
 class TestEnumeratedCorpus:

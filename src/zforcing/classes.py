@@ -1,0 +1,194 @@
+"""Isomorphism classes of small graphs, grown one vertex at a time.
+
+Private to the verifier, which walks every class on n vertices instead of
+every labeled graph: canonical keys by cell refinement with twin pruning,
+and isomorph-free generation by canonical deletion.
+"""
+from __future__ import annotations
+
+import itertools
+import math
+from typing import Iterator
+
+from .graphs import Graph, _claw_centered, bits, mask_of
+
+
+def _cells(adj: tuple[int, ...]) -> list[int]:
+    """Iterated degree refinement: the vertices split into ordered cells
+    (masks) by how many neighbours they have in each current cell, starting
+    from one cell, until no cell splits. Relabeling the graph relabels the
+    cells and keeps their order."""
+    cells = [(1 << len(adj)) - 1]
+    while True:
+        sig = [tuple(map(int.bit_count, map(a.__and__, cells))) for a in adj]
+        order = sorted(set(sig))
+        if len(order) == len(cells):
+            return cells
+        rank = {s: i for i, s in enumerate(order)}
+        cells = [0] * len(order)
+        for v, s in enumerate(sig):
+            cells[rank[s]] |= 1 << v
+
+
+def _canonical(adj: tuple[int, ...], cells: list[int] | None = None
+               ) -> tuple[tuple[int, ...], list[tuple[int, ...]], list[int], int]:
+    """Canonical key of a graph, one labeling that reaches it per coset of
+    the twin group T (below), each vertex's twin class (a mask), and |Aut|.
+
+    A labeling fills positions 0..n-1 cell by cell, in cell order; its
+    adjacency tuple holds, for each position, the mask of earlier positions
+    adjacent to it. The key is the least such tuple, found one position at
+    a time, keeping only the partial labelings whose prefix is least. The
+    labelings that reach the key form one coset of Aut, since automorphisms
+    preserve the cells. cells, if given, is _cells(adj).
+
+    Twins are distinct vertices u, v with N(u) - v = N(v) - u. Each twin
+    class lies in one cell, and every permutation inside it is an
+    automorphism; call the group of these T. A vertex is placed only once
+    its lower-numbered twins are: sorting the twins of a least partial
+    labeling keeps its rows, so the least rows, and the key, stay the same,
+    and exactly one labeling per T-coset is returned (tuples of the vertex
+    at each position). So |Aut| is their number times the product of the
+    class sizes' factorials, and every labeling that reaches the key is
+    one returned with its vertices moved inside their twin classes."""
+    twin = [1 << v for v in range(len(adj))]
+    frontier: list[tuple[tuple[int, ...], int]] = [((), 0)]
+    key = []
+    for cell in cells or _cells(adj):
+        members = list(bits(cell))
+        for i, v in enumerate(members):
+            for u in members[:i]:
+                if not (adj[u] ^ adj[v]) & ~(1 << u | 1 << v):
+                    twin[u] |= 1 << v
+                    twin[v] |= 1 << u
+        members = [(v, 1 << v, twin[v] & ((1 << v) - 1)) for v in members]
+        for _ in members:
+            best = -1
+            nxt = []
+            for placed, done in frontier:
+                for v, bit, lower in members:
+                    if done & bit or lower & ~done:
+                        continue
+                    a = adj[v]
+                    row = 0
+                    for j, u in enumerate(placed):
+                        if a >> u & 1:
+                            row |= 1 << j
+                    if row == best:
+                        nxt.append((placed + (v,), done | bit))
+                    elif best < 0 or row < best:
+                        best = row
+                        nxt = [(placed + (v,), done | bit)]
+            key.append(best)
+            frontier = nxt
+    aut = len(frontier) * math.prod(math.factorial(c.bit_count()) for c in set(twin))
+    return tuple(key), [placed for placed, _ in frontier], twin, aut
+
+
+def _rows_of_key(key: tuple[int, ...]) -> tuple[int, ...]:
+    rows = list(key)
+    for i, row in enumerate(key):
+        for j in bits(row):
+            rows[j] |= 1 << i
+    return tuple(rows)
+
+
+def _claw_through(adj: tuple[int, ...], k: int) -> bool:
+    """Whether the graph adj has an induced claw through vertex k, given
+    that it has none without k. Such a claw has k as its center, or as a
+    leaf at some neighbour u of k whose other two leaves are nonadjacent
+    neighbours of u outside N[k]."""
+    if _claw_centered(adj, 1 << k):
+        return True
+    far = ~(adj[k] | 1 << k)
+    for u in bits(adj[k]):
+        leaves = adj[u] & far
+        while leaves:
+            a = leaves & -leaves
+            leaves ^= a
+            if leaves & ~adj[a.bit_length() - 1]:
+                return True
+    return False
+
+
+def _class_levels(n: int, claw_free: bool = False) -> Iterator[list[tuple[tuple[int, ...], int]]]:
+    """The isomorphism classes on 1, 2, .., n vertices, one level at a
+    time, each as its ascending list of (canonical key, |Aut|), by
+    canonical deletion (McKay, "Isomorph-free exhaustive generation", J.
+    Algorithms 26, 1998). Each class on k vertices gains a vertex k
+    adjacent to one neighbourhood per orbit of Aut on vertex sets. The
+    child is kept only when k is in the orbit of its canonical deletion
+    vertex, the last vertex of largest degree in its canonical labeling, so
+    each class arises once, from the class left by deleting that vertex. A
+    neighbourhood that would not give k the largest degree is dropped
+    first: the test reads only degrees, so it drops whole orbits, and the
+    parent's automorphisms are found only once some neighbourhood passes.
+    The cells refine the degrees and are filled in order, so a child is
+    also dropped, before it is canonicalized, when k is not in the last
+    cell of degree-d vertices.
+
+    The parent is labeled by its key, so the labelings that reach the key
+    are its automorphisms. _canonical returns one per coset of the twin
+    group T, and every automorphism is t o L for some t in T and returned
+    L. So a neighbourhood's orbit is marked as, for each L, every mask with
+    as many members as L(nbrs) in each twin class and the same members
+    outside them. The child's test needs no twin step: k is in the orbit
+    of position p exactly when some returned L has a twin of k at p, and
+    that twin is k itself, since p is the last position of k's cell and L
+    places k after its twins, which have lower ids.
+
+    With claw_free only the classes without an induced claw are made.
+    Deleting a vertex of a claw-free graph leaves it claw-free, so they all
+    grow from claw-free parents, and a child is dropped, before it is
+    canonicalized, when it has a claw through k (_claw_through)."""
+    level = [((0,), 1)]
+    yield level
+    for k in range(1, n):
+        children = []
+        for key, _ in level:
+            rows = _rows_of_key(key)
+            degs = [row.bit_count() for row in rows]
+            top = max(degs)
+            at_top = mask_of(v for v, dv in enumerate(degs) if dv == top)
+            auts = None
+            seen = bytearray(1 << k)
+            for nbrs in range(1 << k):
+                d = nbrs.bit_count()
+                if seen[nbrs] or d < top or d == top and nbrs & at_top:
+                    continue
+                if auts is None:  # rows is canonically labeled
+                    _, auts, twin, _ = _canonical(rows)
+                    classes = [c for c in set(twin) if c & c - 1]
+                    alone = ~sum(classes)
+                for perm in auts:
+                    m = mask_of(perm[i] for i in bits(nbrs))
+                    marks = [m & alone]
+                    for c in classes:
+                        marks = [a | mask_of(t) for a in marks
+                                 for t in itertools.combinations(bits(c), (m & c).bit_count())]
+                    for mark in marks:
+                        seen[mark] = 1
+                child = tuple(row | 1 << k if nbrs >> v & 1 else row
+                              for v, row in enumerate(rows)) + (nbrs,)
+                if claw_free and _claw_through(child, k):
+                    continue
+                cells = _cells(child)
+                last = next(c for c in reversed(cells) if child[next(bits(c))].bit_count() == d)
+                if not last >> k & 1:  # p, below, lies in that cell
+                    continue
+                child_key, labelings, _, aut = _canonical(child, cells)
+                p = max(i for i, v in enumerate(labelings[0]) if child[v].bit_count() == d)
+                if any(lab[p] == k for lab in labelings):
+                    children.append((child_key, aut))
+        level = sorted(children)
+        yield level
+
+
+def _graph_classes(n: int, claw_free: bool = False) -> Iterator[tuple[Graph, int]]:
+    """One graph per isomorphism class on n vertices, labeled by its
+    canonical key, with its number of labeled copies n!/|Aut|, in ascending
+    key order: the last level of _class_levels(n, claw_free)."""
+    *_, level = _class_levels(n, claw_free)
+    labeled = math.factorial(n)
+    for key, aut in level:
+        yield Graph._unchecked(n, _rows_of_key(key)), labeled // aut

@@ -6,6 +6,9 @@ document to stdout and diagnostics to stderr. Exit status 0 on success,
 errors, 3 on an internal error. Graph input precedence: --graph6
 string, else --edges file, else standard input (edge-list format except
 for verify, which reads graph6 lines).
+
+Handlers import the modules that only they use, so that a cold process
+compiles no more of the package than its command runs.
 """
 from __future__ import annotations
 
@@ -19,10 +22,6 @@ from . import documents as docs
 from .graphs import (Graph, components, find_claws, is_claw_free,
                      parse_edge_list, parse_graph6)
 from .forcing import Rule, chronological_list, closure, expansion_sequence
-from .bundles import build_bundle, terminus
-from .reconnection import connected_complement_trace, improve_component
-from .solver import _minimum_sets, forcing_number
-from .verifier import MODES, is_zz_perfect_direct, run_corpus, run_corpus_enumerated
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -79,7 +78,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="corpus run")
     graph_opts(p)
-    p.add_argument("--mode", choices=list(MODES), default="theorem")
+    p.add_argument("--mode", choices=list(docs.MODES), default="theorem")
     p.add_argument("--enumerate", type=int, metavar="N", dest="enumerate_n",
                    help="run over all labeled graphs on N vertices")
     return parser
@@ -111,6 +110,7 @@ def _check_vertex(x: int, n: int) -> int:
 
 
 def _cmd_solve(args):
+    from .solver import _minimum_sets, forcing_number
     g = _load_graph(args)
     report = forcing_number(g, Rule(args.rule))
     sets = None
@@ -139,6 +139,7 @@ def _cmd_list(args):
 
 
 def _cmd_bundle(args):
+    from .bundles import build_bundle, terminus
     g = _load_graph(args)
     blue = _parse_blue(args.blue, g.n)
     x = _check_vertex(args.x, g.n)
@@ -152,6 +153,7 @@ def _cmd_bundle(args):
 
 
 def _cmd_connectify(args):
+    from .reconnection import connected_complement_trace
     g = _load_graph(args)
     start = time.perf_counter()
     final, steps = connected_complement_trace(g)
@@ -161,6 +163,7 @@ def _cmd_connectify(args):
 
 
 def _cmd_improve(args):
+    from .reconnection import improve_component
     g = _load_graph(args)
     s = _parse_blue(args.blue, g.n)
     comps = components(g, g.full_mask & ~s)
@@ -186,6 +189,7 @@ def _cmd_claws(args):
 def _cmd_perfect(args):
     g = _load_graph(args)
     if args.mode == "direct":
+        from .verifier import is_zz_perfect_direct
         perfect = is_zz_perfect_direct(g)
     else:
         perfect = is_claw_free(g)
@@ -200,6 +204,7 @@ def _iter_graph6_lines(lines):
 
 
 def _cmd_verify(args):
+    from .verifier import run_corpus, run_corpus_enumerated
     start = time.perf_counter()
     if args.enumerate_n is not None:
         source = f"enumerate:{args.enumerate_n}"

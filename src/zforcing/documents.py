@@ -9,12 +9,20 @@ the determinism contract.
 """
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 from .graphs import Claw, bits
 from .forcing import Chronology, Force, Rule
-from .bundles import PathBundle
-from .reconnection import MinimalityRefutation, ReconnectionStep
-from .solver import SolverReport
-from .verifier import CorpusSummary
+
+if TYPE_CHECKING:
+    from .bundles import PathBundle
+    from .reconnection import ReconnectionStep
+    from .solver import SolverReport
+    from .verifier import CorpusSummary
+
+# The verify modes, kept here rather than in verifier so that the CLI can
+# offer them without compiling the verifier.
+MODES = ("theorem", "corollary", "monotonicity")
 
 
 def labels_of(mask: int) -> list[int]:
@@ -62,6 +70,7 @@ def solve_document(n: int, report: SolverReport, minimum_sets=None) -> dict:
 
 
 def parse_solve_document(doc: dict):
+    from .solver import SolverReport
     n = doc["n"]
     report = SolverReport(Rule(doc["rule"]), doc["value"],
                           mask_from_labels(doc["witness"], n),
@@ -120,6 +129,7 @@ def bundle_document(n: int, initial: int, schedule: str, bundle: PathBundle,
 
 
 def parse_bundle_document(doc: dict):
+    from .bundles import PathBundle
     n = doc["n"]
     bundle = PathBundle(doc["x"] - 1, doc["t_x"],
                         tuple(tuple(v - 1 for v in path) for path in doc["paths"]))
@@ -164,6 +174,7 @@ def _step_doc(step: ReconnectionStep) -> dict:
 
 
 def _step_from_doc(d: dict, n: int) -> ReconnectionStep:
+    from .reconnection import ReconnectionStep
     return ReconnectionStep(mask_from_labels(d["s"], n),
                             mask_from_labels(d["component"], n),
                             mask_from_labels(d["boundary"], n),
@@ -172,6 +183,7 @@ def _step_from_doc(d: dict, n: int) -> ReconnectionStep:
 
 
 def improve_document(n: int, s: int, c: int, result) -> dict:
+    from .reconnection import MinimalityRefutation
     doc = {"command": "improve", "n": n, "s": labels_of(s),
            "component": labels_of(c)}
     if isinstance(result, MinimalityRefutation):
@@ -184,6 +196,7 @@ def improve_document(n: int, s: int, c: int, result) -> dict:
 
 
 def parse_improve_document(doc: dict):
+    from .reconnection import MinimalityRefutation
     n = doc["n"]
     s = mask_from_labels(doc["s"], n)
     c = mask_from_labels(doc["component"], n)
@@ -245,6 +258,7 @@ def verify_document(summary: CorpusSummary, source: str, jobs: int | None = None
 
 
 def parse_verify_document(doc: dict) -> CorpusSummary:
+    from .verifier import CorpusSummary
     return CorpusSummary(mode=doc["mode"], total=doc["total"],
                          claw_free=doc["claw_free"], checked=doc["checked"],
                          failures=list(doc["failures"]),

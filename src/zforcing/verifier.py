@@ -21,13 +21,12 @@ from __future__ import annotations
 from types import SimpleNamespace
 from typing import NamedTuple
 
-from .graphs import (Graph, _graph_classes, induced_subgraph, is_claw_free,
-                     is_connected, to_graph6)
+from .graphs import Graph, induced_subgraph, is_claw_free, is_connected, to_graph6
+from .classes import _graph_classes
 from .forcing import Force, Rule, _close, _forces, _parts, _split, _valid
 from .solver import (_first_of_size, _search_min, _search_min_bound, _treewidth_bound,
                      forcing_number)
-
-MODES = ("theorem", "corollary", "monotonicity")
+from .documents import MODES
 
 
 class EqualityReport(NamedTuple):

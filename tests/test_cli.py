@@ -334,7 +334,7 @@ class TestVerify:
     def test_failures_flip_exit_code(self, capsys, monkeypatch):
         fake = CorpusSummary(mode="theorem", total=1, claw_free=1, checked=1,
                              failures=["A_"])
-        monkeypatch.setattr("zforcing.cli.run_corpus", lambda *a, **k: fake)
+        monkeypatch.setattr("zforcing.verifier.run_corpus", lambda *a, **k: fake)
         code, doc, _ = run_cli(
             capsys, ["verify", "--graph6", "A_"])
         assert code == 1

@@ -32,7 +32,9 @@ from zforcing import (
     star_graph,
     to_graph6,
 )
-from zforcing.graphs import _canonical, _claw_centered, _graph_classes, _rows_of_key
+from zforcing.classes import (_canonical, _class_levels, _claw_through, _graph_classes,
+                              _rows_of_key)
+from zforcing.graphs import _claw_centered
 
 
 class TestGraphBasics:
@@ -278,6 +280,26 @@ class TestGraphClasses:
             classes = list(_graph_classes(n, claw_free=True))
             assert len(classes) == count
             assert classes == [(g, w) for g, w in _graph_classes(n) if is_claw_free(g)]
+
+    def test_claw_through_matches_the_center_search(self):
+        # every child of every claw-free class on up to 7 vertices: the
+        # parent has no claw, so a claw in the child goes through k
+        for k in range(1, 8):
+            for g, _ in _graph_classes(k, claw_free=True):
+                for nbrs in range(1 << k):
+                    child = tuple(row | 1 << k if nbrs >> v & 1 else row
+                                  for v, row in enumerate(g.adj)) + (nbrs,)
+                    assert _claw_through(child, k) == _claw_centered(child, nbrs | 1 << k)
+
+    @pytest.mark.parametrize("claw_free, top", [(False, 7), (True, 8)],
+                             ids=["all", "claw_free"])
+    def test_levels_are_the_smaller_streams(self, claw_free, top):
+        levels = list(_class_levels(top, claw_free))
+        assert len(levels) == top
+        for k, level in enumerate(levels, 1):
+            graphs_k = [(Graph(k, _rows_of_key(key)), math.factorial(k) // aut)
+                        for key, aut in level]
+            assert graphs_k == list(_graph_classes(k, claw_free))
 
     def test_claw_free_filter_drops_a_new_leaf(self):
         # K_{1,3} grows from the path P_3 by a vertex on the path's middle:

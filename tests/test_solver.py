@@ -24,7 +24,7 @@ from zforcing import (
     star_graph,
 )
 from zforcing import solver
-from zforcing.graphs import _graph_classes
+from zforcing.classes import _graph_classes
 from zforcing.solver import _search_min
 
 

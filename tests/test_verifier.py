@@ -21,7 +21,7 @@ from zforcing import (
     star_graph,
     to_graph6,
 )
-from zforcing.graphs import _canonical, _graph_classes, _rows_of_key
+from zforcing.classes import _canonical, _graph_classes, _rows_of_key
 
 
 class TestCheckEquality:

@@ -50,6 +50,7 @@ def _build_parser() -> argparse.ArgumentParser:
     graph_opts(p)
     p.add_argument("--rule", choices=["standard", "psd"], default="psd")
     p.add_argument("--blue", required=True, help="comma list of 1-based labels")
+    p.set_defaults(schedule="lex")  # list is trace under the lex schedule
 
     p = sub.add_parser("bundle", help="path bundle and terminus toward a vertex")
     graph_opts(p)
@@ -119,23 +120,19 @@ def _cmd_solve(args):
     return docs.solve_document(g.n, report, sets), 0
 
 
+def _run_schedule(g: Graph, blue: int, rule: Rule, schedule: str):
+    """(chronology, expansion) of the greedy closure or the lex list."""
+    if schedule == "greedy":
+        return closure(g, blue, rule)
+    chron = chronological_list(g, blue, rule)
+    return chron, expansion_sequence(chron)
+
+
 def _cmd_trace(args):
     g = _load_graph(args)
     blue = _parse_blue(args.blue, g.n)
-    if args.schedule == "greedy":
-        chron, expansion = closure(g, blue, Rule(args.rule))
-    else:
-        chron = chronological_list(g, blue, Rule(args.rule))
-        expansion = expansion_sequence(chron)
-    return docs.trace_document("trace", g.n, chron, expansion, args.schedule), 0
-
-
-def _cmd_list(args):
-    g = _load_graph(args)
-    blue = _parse_blue(args.blue, g.n)
-    chron = chronological_list(g, blue, Rule(args.rule))
-    doc = docs.trace_document("list", g.n, chron, expansion_sequence(chron), "lex")
-    return doc, 0
+    chron, expansion = _run_schedule(g, blue, Rule(args.rule), args.schedule)
+    return docs.trace_document(args.command, g.n, chron, expansion, args.schedule), 0
 
 
 def _cmd_bundle(args):
@@ -143,10 +140,7 @@ def _cmd_bundle(args):
     g = _load_graph(args)
     blue = _parse_blue(args.blue, g.n)
     x = _check_vertex(args.x, g.n)
-    if args.schedule == "greedy":
-        chron, _ = closure(g, blue, Rule.PSD)
-    else:
-        chron = chronological_list(g, blue, Rule.PSD)
+    chron, _ = _run_schedule(g, blue, Rule.PSD, args.schedule)
     bundle = build_bundle(g, chron, x)
     term = terminus(g, chron, bundle)
     return docs.bundle_document(g.n, blue, args.schedule, bundle, term), 0
@@ -227,7 +221,7 @@ def _cmd_verify(args):
 _HANDLERS = {
     "solve": _cmd_solve,
     "trace": _cmd_trace,
-    "list": _cmd_list,
+    "list": _cmd_trace,
     "bundle": _cmd_bundle,
     "connectify": _cmd_connectify,
     "improve": _cmd_improve,

@@ -87,16 +87,11 @@ def _first_of_size(adj: tuple[int, ...], n: int, k: int, psd: bool) -> tuple[int
     return next(_forcing_sets_of_size(adj, n, k, psd), (0, math.comb(n, k)))
 
 
-def _search_min(adj: tuple[int, ...], n: int, rule: Rule) -> tuple[int, int, int]:
-    """(size, witness mask, candidates tested) for one whole graph, in the
-    size order the module docstring gives."""
-    return _search_min_bound(adj, n, rule)[:3]
-
-
-def _search_min_bound(adj: tuple[int, ...], n: int, rule: Rule
-                      ) -> tuple[int, int, int, int | None]:
-    """_search_min's triple, plus the tree-width bound if the search
-    computed it, else None."""
+def _search_min(adj: tuple[int, ...], n: int, rule: Rule
+                ) -> tuple[int, int, int, int | None]:
+    """(size, witness mask, candidates tested, tree-width bound or None if
+    the search did not compute it) for one whole graph, in the size order
+    the module docstring gives."""
     psd = rule is Rule.PSD
     lo = max(min(map(int.bit_count, adj)) - 1, 0)
     for k in range(lo + 1, min(n, 2) + 1):
@@ -114,6 +109,21 @@ def _search_min_bound(adj: tuple[int, ...], n: int, rule: Rule
             break
         z, witness, t = k, found, pos
     return z, witness, _below(n, z) + t, bound
+
+
+def _numbers_differ(g: Graph) -> bool:
+    """Whether Z(G) != Z+(G), deciding Z+ by psd tests at two sizes only.
+    A standard forcing set is a psd forcing set, since every standard force
+    is a psd force, so the lex-least standard witness of size Z psd-forces
+    unless Z+ > Z. A superset of a psd forcing set is one too, so Z+ < Z
+    exactly when some set of size Z - 1 psd-forces; none does when Z is at
+    most the tree-width bound, since that is at most Z+."""
+    z, witness, _, bound = _search_min(g.adj, g.n, Rule.STANDARD)
+    if _close(g.adj, witness, g.full_mask, True) != g.full_mask:
+        return True
+    if z <= (_treewidth_bound(g.adj) if bound is None else bound):
+        return False
+    return bool(_first_of_size(g.adj, g.n, z - 1, True)[0])
 
 
 def _treewidth_bound(adj: tuple[int, ...]) -> int:
@@ -155,14 +165,14 @@ def forcing_number(g: Graph, rule: "Rule | str") -> SolverReport:
     start = time.perf_counter()
     comps = components(g, g.full_mask)
     if len(comps) == 1:
-        value, witness, tested = _search_min(g.adj, g.n, rule)
+        value, witness, tested, _ = _search_min(g.adj, g.n, rule)
     else:
         value = 0
         witness = 0
         tested = 0
         for comp in comps:
             sub, index = induced_subgraph(g, comp)
-            k, wit, t = _search_min(sub.adj, sub.n, rule)
+            k, wit, t, _ = _search_min(sub.adj, sub.n, rule)
             back = {new: old for old, new in index.items()}
             value += k
             tested += t

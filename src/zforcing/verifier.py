@@ -22,10 +22,8 @@ from types import SimpleNamespace
 from typing import NamedTuple
 
 from .graphs import Graph, induced_subgraph, is_claw_free, is_connected, to_graph6
-from .classes import _graph_classes
-from .forcing import Force, Rule, _close, _forces, _parts, _split, _valid
-from .solver import (_first_of_size, _search_min, _search_min_bound, _treewidth_bound,
-                     forcing_number)
+from .forcing import Force, Rule, _close, _parts, _split, _valid
+from .solver import _numbers_differ, _search_min, forcing_number
 from .documents import MODES
 
 
@@ -99,8 +97,7 @@ def mirror_check(g: Graph, s: int) -> MirrorReport:
         if not valid:
             return MirrorReport(False, tuple(log), f"no psd force at time {t}")
         force = min(valid)
-        standard_valid = (force.source, 1 << force.target) in _forces(
-            g.adj, 1 << force.source, full & ~blue, False)
+        standard_valid = g.adj[force.source] & ~blue == 1 << force.target
         log.append(MirrorStep(t, force, white_connected, standard_valid))
         if not (white_connected and standard_valid):
             return MirrorReport(False, tuple(log), f"assertion failed at time {t}")
@@ -117,30 +114,14 @@ def is_zz_perfect_direct(g: Graph) -> bool:
         raise ValueError("direct perfection check supports n <= 6 only")
     for smask in range(1, g.full_mask + 1):
         sub, _ = induced_subgraph(g, smask)
-        z, _, _ = _search_min(sub.adj, sub.n, Rule.STANDARD)
-        zp, _, _ = _search_min(sub.adj, sub.n, Rule.PSD)
+        z = _search_min(sub.adj, sub.n, Rule.STANDARD)[0]
+        zp = _search_min(sub.adj, sub.n, Rule.PSD)[0]
         if z != zp:
             return False
     return True
 
 
-def _numbers_differ(g: Graph) -> bool:
-    """Whether Z(G) != Z+(G), deciding Z+ by psd tests at two sizes only.
-    A standard forcing set is a psd forcing set, since every standard force
-    is a psd force, so the lex-least standard witness of size Z psd-forces
-    unless Z+ > Z. A superset of a psd forcing set is one too, so Z+ < Z
-    exactly when some set of size Z - 1 psd-forces; none does when Z is at
-    most the tree-width bound, since that is at most Z+."""
-    z, witness, _, bound = _search_min_bound(g.adj, g.n, Rule.STANDARD)
-    if _close(g.adj, witness, g.full_mask, True) != g.full_mask:
-        return True
-    if z <= (_treewidth_bound(g.adj) if bound is None else bound):
-        return False
-    return bool(_first_of_size(g.adj, g.n, z - 1, True)[0])
-
-
-def _examine_one(g: Graph, weight: int, mode: str, solve_all: bool,
-                 summary: CorpusSummary) -> None:
+def _examine_one(g: Graph, weight: int, mode: str, summary: CorpusSummary) -> None:
     summary.total += weight
     claw_free = is_claw_free(g)
     if claw_free:
@@ -150,9 +131,6 @@ def _examine_one(g: Graph, weight: int, mode: str, solve_all: bool,
             summary.checked += weight
             if _numbers_differ(g):
                 summary.failures.append(to_graph6(g))
-        elif solve_all:
-            if forcing_number(g, Rule.STANDARD).value != forcing_number(g, Rule.PSD).value:
-                summary.informational.append(to_graph6(g))
     elif mode == "corollary":
         summary.checked += weight
         if is_zz_perfect_direct(g) != claw_free:
@@ -160,27 +138,27 @@ def _examine_one(g: Graph, weight: int, mode: str, solve_all: bool,
     else:  # monotonicity
         summary.checked += weight
         # Z+ > Z exactly when the standard witness does not psd-force
-        _, witness, _ = _search_min(g.adj, g.n, Rule.STANDARD)
+        witness = _search_min(g.adj, g.n, Rule.STANDARD)[1]
         if _close(g.adj, witness, g.full_mask, True) != g.full_mask:
             summary.failures.append(to_graph6(g))
 
 
-def _run_weighted(weighted, mode: str, solve_all: bool) -> CorpusSummary:
+def _run_weighted(weighted, mode: str) -> CorpusSummary:
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
     summary = CorpusSummary(mode=mode)
     for g, weight in weighted:
         try:
-            _examine_one(g, weight, mode, solve_all, summary)
+            _examine_one(g, weight, mode, summary)
         except Exception as exc:  # one bad graph must not end the run
             summary.errors.append(f"{to_graph6(g)}: {type(exc).__name__}: {exc}")
     return summary
 
 
-def run_corpus(graphs, mode: str, solve_all: bool = False) -> CorpusSummary:
+def run_corpus(graphs, mode: str) -> CorpusSummary:
     """Sequential corpus run over any stream of Graphs. Any exception a
     graph raises is recorded in errors and does not abort the run."""
-    return _run_weighted(((g, 1) for g in graphs), mode, solve_all)
+    return _run_weighted(((g, 1) for g in graphs), mode)
 
 
 def run_corpus_enumerated(n: int, mode: str, jobs: int | None = None) -> CorpusSummary:
@@ -197,7 +175,8 @@ def run_corpus_enumerated(n: int, mode: str, jobs: int | None = None) -> CorpusS
     if mode == "corollary" and n > 6:
         raise ValueError("corollary mode checks every induced subgraph directly "
                          f"and supports n <= 6 only, got {n}")
-    summary = _run_weighted(_graph_classes(n, claw_free=theorem), mode, False)
+    from .classes import _graph_classes  # only enumeration needs the class generator
+    summary = _run_weighted(_graph_classes(n, claw_free=theorem), mode)
     if theorem:
         summary.total = 1 << (n * (n - 1) // 2)
     return summary

@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import os
+from pathlib import Path
+
 import pytest
 from hypothesis import HealthCheck, settings, strategies as st
 
@@ -12,6 +15,11 @@ settings.register_profile(
     suppress_health_check=[HealthCheck.too_slow],
 )
 settings.load_profile("suite")
+
+# interpreters that tests start import the package from this checkout too
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    filter(None, [str(Path(__file__).resolve().parent.parent / "src"),
+                  os.environ.get("PYTHONPATH")]))
 
 # Two triangles joined through a 4-cycle; the running example used across
 # the forcing, bundle and CLI tests.  Labels here are 1-based as they would

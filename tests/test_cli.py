@@ -9,7 +9,7 @@ import pytest
 
 from conftest import TWO_DIAMONDS_EDGES, two_diamonds_graph
 from zforcing import CorpusSummary, complete_graph, path_graph, to_graph6
-from zforcing import cli, solver, verifier
+from zforcing import cli, solver
 from zforcing.cli import main
 
 
@@ -320,7 +320,7 @@ class TestVerify:
         def refuse(n, claw_free=False):
             raise AssertionError("no graph may be generated")
 
-        monkeypatch.setattr(verifier, "_graph_classes", refuse)
+        monkeypatch.setattr("zforcing.classes._graph_classes", refuse)
         code, doc, err = run_cli(
             capsys, ["verify", "--mode", "theorem", "--enumerate", "10"])
         assert code == 2

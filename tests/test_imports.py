@@ -82,7 +82,9 @@ def loaded_by(argv: list[str]) -> set[str]:
     (["solve", "--graph6", "Cr"], {"solver"}, {"verifier", "classes", "reconnection", "bundles"}),
     (["trace", "--graph6", "Cr", "--blue", "1,2"], set(),
      {"verifier", "classes", "reconnection", "bundles", "solver"}),
-], ids=["solve", "trace"])
+    (["verify", "--graph6", "Cr"], {"verifier", "solver"},
+     {"classes", "reconnection", "bundles"}),
+], ids=["solve", "trace", "verify-graph6"])
 def test_cold_command_loads_only_what_it_runs(argv, runs, skipped):
     loaded = loaded_by(argv)
     assert {"cli", "documents", "graphs", "forcing", *runs} <= loaded

@@ -111,7 +111,7 @@ class TestSearchOrder:
             for g, _ in _graph_classes(n):
                 for rule in Rule:
                     k, combo, tried = naive_search(g, rule.value)
-                    assert _search_min(g.adj, g.n, rule) == (k, mask_of(combo), tried)
+                    assert _search_min(g.adj, g.n, rule)[:3] == (k, mask_of(combo), tried)
                     assert _as_naive(forcing_number(g, rule)) == \
                         naive_search_by_component(g, rule.value)
 
@@ -178,7 +178,7 @@ class TestPrunedScan:
     def test_matches_reference(self, rule, sizes, per_size):
         for g in _trees_and_unicyclic(9, sizes, per_size):
             k, combo, tried = naive_search(g, rule.value)
-            assert _search_min(g.adj, g.n, rule) == (k, mask_of(combo), tried)
+            assert _search_min(g.adj, g.n, rule)[:3] == (k, mask_of(combo), tried)
             got = [tuple(bits(m)) for m in all_minimum_sets(g, rule)]
             assert got == naive_minimum_sets(g, rule.value)
 
@@ -279,7 +279,7 @@ class TestTreewidthBound:
         for g in graphs_:
             for rule in Rule:
                 k, combo, tried = naive_search(g, rule.value)
-                assert _search_min(g.adj, g.n, rule) == (k, mask_of(combo), tried)
+                assert _search_min(g.adj, g.n, rule)[:3] == (k, mask_of(combo), tried)
                 stopped += k == solver._treewidth_bound(g.adj)
         assert stopped > len(graphs_)  # the bound ends most searches
 

@@ -65,6 +65,7 @@ class TestMirrorCheck:
         assert not rep.passed
         assert rep.reason == "assertion failed at time 0"
         assert not rep.steps[0].white_connected
+        assert not rep.steps[0].standard_valid
 
     def test_stalls_without_psd_force(self):
         rep = mirror_check(cycle_graph(4), mask_of([0]))
@@ -101,11 +102,6 @@ class TestRunCorpus:
         assert summary.checked == 2
         assert summary.failures == []
         assert summary.informational == []
-
-    def test_solve_all_reports_skipped_inequalities(self, two_diamonds):
-        stream = [two_diamonds, star_graph(3), path_graph(4)]
-        summary = run_corpus(stream, "theorem", solve_all=True)
-        assert summary.informational == [to_graph6(star_graph(3))]
 
     def test_errors_recorded_not_fatal(self):
         summary = run_corpus([path_graph(7), path_graph(3)], "corollary")
@@ -156,12 +152,11 @@ class TestNumbersDiffer:
             return real(adj)
 
         monkeypatch.setattr(solver, "_treewidth_bound", counted)
-        monkeypatch.setattr(verifier, "_treewidth_bound", counted)
         for g in (complete_graph(7), cycle_graph(7)) + tuple(g for g, _ in _graph_classes(6)):
             calls.clear()
             verifier._numbers_differ(g)
             assert len(calls) <= 1
-        assert solver._search_min_bound(complete_graph(7).adj, 7, solver.Rule.STANDARD)[3] == 6
+        assert solver._search_min(complete_graph(7).adj, 7, solver.Rule.STANDARD)[3] == 6
 
 
 class TestEnumeratedCorpus:
@@ -230,6 +225,6 @@ class TestEnumeratedCorpus:
         def refuse(n):
             raise AssertionError("no graph may be generated")
 
-        monkeypatch.setattr(verifier, "_graph_classes", refuse)
+        monkeypatch.setattr("zforcing.classes._graph_classes", refuse)
         with pytest.raises(ValueError, match="n <= 6"):
             run_corpus_enumerated(7, "corollary")

@@ -113,6 +113,8 @@ def _check_vertex(x: int, n: int) -> int:
 def _cmd_solve(args):
     from .solver import _minimum_sets, forcing_number
     g = _load_graph(args)
+    if args.cap is not None and args.cap < 1:  # before the search, however long
+        raise ValueError("cap must be at least 1")
     report = forcing_number(g, Rule(args.rule))
     sets = None
     if args.cap is not None:

@@ -6,16 +6,17 @@ Under the positive semidefinite (psd) rule the white set is first split
 into the components of the subgraph it induces; a blue vertex u forces a
 white vertex w when w is u's only neighbor inside w's component. Both
 rules are one kernel over parts of the white set: the whole set under the
-standard rule, each of its components under the psd rule. Walks that
-apply one force per step keep the parts between steps and split again only
-the part of the vertex just forced. A
-chronology records the set of forces applied at each time step, and its
-expansion sequence records the blue set after each step.
+standard rule, each of its components under the psd rule. `_walk` is
+the one place that keeps the parts between steps, for every walk that
+applies one force per step; it splits again only the part of the vertex
+just forced. A chronology records the set of forces applied at each time
+step, and its expansion sequence records the blue set after each step.
 """
 from __future__ import annotations
 
 import enum
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from itertools import islice
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .graphs import Graph, _reach_near, mask_of
 
@@ -131,20 +132,28 @@ def _parts(adj: Sequence[int], blue: int, white: int,
     return parts
 
 
-def _split(adj: Sequence[int], parts: list[tuple[int, list[Force]]], blue: int,
-           t: int, psd: bool) -> None:
-    """Update the parts in place once white vertex t has joined blue. No
-    other part touches t, so only t's own part, and the forces into it,
-    change."""
-    for i, (part, _) in enumerate(parts):
-        if part >> t & 1:
-            parts[i:i + 1] = _parts(adj, blue, part & ~(1 << t), psd)
+def _walk(adj: Sequence[int], blue: int, full: int, psd: bool,
+          pick: Callable[[set[Force]], Force | None]) -> Iterator[tuple[Force, int]]:
+    """Apply one force per step until pick(valid forces) returns None, as it
+    must once `full` is blue, and yield each force with the number of white
+    parts before it. No other part touches the vertex just forced, so only
+    its own part, and the forces into it, are split again."""
+    parts = _parts(adj, blue, full & ~blue, psd)
+    while True:
+        force = pick({f for _, forces in parts for f in forces})
+        if force is None:
             return
+        yield force, len(parts)
+        t = force.target
+        blue |= 1 << t
+        for i, (part, _) in enumerate(parts):
+            if part >> t & 1:
+                parts[i:i + 1] = _parts(adj, blue, part & ~(1 << t), psd)
+                break
 
 
-def _valid(parts: list[tuple[int, list[Force]]]) -> set[Force]:
-    """Every force valid at the coloring the parts were kept for."""
-    return {f for _, forces in parts for f in forces}
+def _least(valid: set[Force]) -> Force | None:
+    return min(valid, default=None)
 
 
 def valid_forces(g: Graph, blue: int, rule: "Rule | str") -> set[Force]:
@@ -209,45 +218,36 @@ def is_forcing_set(g: Graph, b: int, rule: "Rule | str") -> bool:
 
 
 def chronological_list(g: Graph, b: int, rule: "Rule | str",
-                       replay: Sequence[Force] | None = None) -> Chronology:
+                       replay: Iterable[Force] | None = None) -> Chronology:
     """One force per step until everything is blue. Without `replay` the
     lexicographically least (source, target) valid force is picked each
     step; with `replay` the given forces are validated and applied in
     order and must themselves finish the run."""
     rule = _rule(rule)
-    psd = rule is Rule.PSD
     full = g.full_mask
     if b & ~full:
         raise ValueError("blue set mentions vertices outside the graph")
-    parts = _parts(g.adj, b, full & ~b, psd)
-    blue = b
-    steps: list[frozenset[Force]] = []
+    # the replayed force last pulled; _walk asks once more when all is blue
+    pulled: list[Force] = []
     if replay is None:
-        while blue != full:
-            valid = _valid(parts)
-            if not valid:
-                raise ChronologyError("initial set does not force the whole graph")
-            force = min(valid)
-            steps.append(frozenset([force]))
-            blue |= 1 << force.target
-            _split(g.adj, parts, blue, force.target, psd)
-        return Chronology(b, tuple(steps), rule)
-    for i, force in enumerate(replay):
-        if force not in _valid(parts):
-            error = ChronologyError(f"force {force} not valid at step {i + 1}", step=i + 1)
-            break
-        steps.append(frozenset([force]))
-        blue |= 1 << force.target
-        _split(g.adj, parts, blue, force.target, psd)
+        pick = _least
     else:
-        if blue == full:
-            return Chronology(b, tuple(steps), rule)
-        error = ChronologyError("replayed forces stop before the graph is blue")
+        rest = iter(replay)
+
+        def pick(valid):
+            pulled[:] = islice(rest, 1)
+            return pulled[0] if pulled and pulled[0] in valid else None
+    order = [force for force, _ in _walk(g.adj, b, full, rule is Rule.PSD, pick)]
+    if len(order) == (full & ~b).bit_count() and not pulled:
+        return Chronology(b, tuple(frozenset([f]) for f in order), rule)
     # an initial set that does not force is named before the replayed force
     # at fault; the closure runs only on this error path
     if not is_forcing_set(g, b, rule):
         raise ChronologyError("initial set does not force the whole graph")
-    raise error
+    if not pulled:
+        raise ChronologyError("replayed forces stop before the graph is blue")
+    step = len(order) + 1
+    raise ChronologyError(f"force {pulled[0]} not valid at step {step}", step=step)
 
 
 def restrict_chronology(f: Chronology, h: int) -> list[frozenset[Force]]:

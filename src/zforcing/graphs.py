@@ -175,8 +175,9 @@ def _graphs_in_range(n: int, lo: int, hi: int) -> Iterator[Graph]:
 
 def parse_graph6(line: str) -> Graph:
     """Decode one graph6 line. The optional >>graph6<< prefix is accepted;
-    stray bytes, wrong body length, or nonzero padding bits are rejected so
-    that re-encoding reproduces the input exactly."""
+    stray bytes, wrong body length, or nonzero padding bits are rejected, so
+    re-encoding reproduces the input exactly, bar the prefix and a four-byte
+    header for n <= 62, which re-encodes to the one-byte form."""
     s = line.strip()
     if s.startswith(_G6_PREFIX):
         s = s[len(_G6_PREFIX):]
@@ -288,7 +289,6 @@ def format_edge_list(g: Graph) -> str:
 def induced_subgraph(g: Graph, s: int) -> tuple[Graph, dict[int, int]]:
     """Subgraph induced by the vertex mask s, with an old->new id mapping.
     New ids preserve the old order."""
-    s &= (1 << MAX_VERTICES) - 1
     if s & ~g.full_mask:
         raise ValueError("induced set mentions vertices outside the graph")
     if not s:

@@ -15,9 +15,8 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .graphs import Graph, bits, components, is_connected, mask_of, reach
-from .forcing import (Chronology, ChronologyError, Force, Rule, _parts,
-                      _split, _valid, chronological_list, expansion_sequence,
-                      is_forcing_set)
+from .forcing import (Chronology, ChronologyError, Force, Rule, _least, _walk,
+                      chronological_list, expansion_sequence, is_forcing_set)
 from .bundles import build_bundle, terminus
 from .solver import forcing_number
 
@@ -117,26 +116,21 @@ def _improve(g: Graph, s: int, c: int, f: Chronology) -> "ReconnectionStep | Min
     if not g.adj[x] >> w_star & 1 or c >> w_star & 1:
         raise AssertionError("w* must be a neighbor of x outside c")
 
-    # f' keeps f's first t - 1 forces, so its states up to t - 1 are f's
+    # f' keeps f's first t - 1 forces, so its states up to t - 1 are f's;
+    # then x forces w*, and the tail replays f's forces when still valid,
+    # else the lex-least one (a force into blue stays listed, never valid)
     order = [next(iter(step)) for step in f.steps[: t - 1]]
     blue = s | mask_of(fc.target for fc in order)
-    parts = _parts(g.adj, blue, g.full_mask & ~blue, True)
-    if Force(x, w_star) not in _valid(parts):
+    pending = [Force(x, w_star)] + [next(iter(step)) for step in f.steps[t:]]
+
+    def pick(valid):
+        for i, fc in enumerate(pending):
+            if fc in valid:
+                return pending.pop(i)
+        return _least(valid)
+    order += [fc for fc, _ in _walk(g.adj, blue, g.full_mask, True, pick)]
+    if order[t - 1] != Force(x, w_star):
         raise AssertionError("x must force w* at step t")
-    order.append(Force(x, w_star))
-    blue |= 1 << w_star
-    _split(g.adj, parts, blue, w_star, True)
-    # regenerate the tail: replay the original force when still valid,
-    # otherwise fall back to the lex-least valid force; a pending force
-    # whose target is already blue is never valid, so it can stay listed
-    pending = [next(iter(step)) for step in f.steps[t:]]
-    while blue != g.full_mask:
-        valid = _valid(parts)
-        i = next((i for i, fc in enumerate(pending) if fc in valid), None)
-        chosen = min(valid) if i is None else pending.pop(i)
-        order.append(chosen)
-        blue |= 1 << chosen.target
-        _split(g.adj, parts, blue, chosen.target, True)
 
     f_prime = Chronology(s, tuple(frozenset([fc]) for fc in order), Rule.PSD)
     bundle = build_bundle(g, f_prime, w_star)

@@ -185,12 +185,12 @@ def forcing_number(g: Graph, rule: "Rule | str") -> SolverReport:
 def all_minimum_sets(g: Graph, rule: "Rule | str", cap: int = 1000) -> list[int]:
     """Up to cap minimum forcing sets, lexicographic order."""
     rule = _rule(rule)
+    if cap < 1:
+        raise ValueError("cap must be at least 1")
     return _minimum_sets(g, rule, forcing_number(g, rule).value, cap)
 
 
 def _minimum_sets(g: Graph, rule: Rule, z: int, cap: int) -> list[int]:
-    """all_minimum_sets for a caller that already knows Z."""
-    if cap < 1:
-        raise ValueError("cap must be at least 1")
+    """all_minimum_sets for a caller that already knows Z and checked cap."""
     found = _forcing_sets_of_size(g.adj, g.n, z, rule is Rule.PSD)
     return [blue for blue, _ in itertools.islice(found, cap)]

@@ -22,7 +22,7 @@ from types import SimpleNamespace
 from typing import NamedTuple
 
 from .graphs import Graph, induced_subgraph, is_claw_free, is_connected, to_graph6
-from .forcing import Force, Rule, _close, _parts, _split, _valid
+from .forcing import Force, Rule, _close, _least, _walk
 from .solver import _numbers_differ, _search_min, forcing_number
 from .documents import MODES
 
@@ -88,22 +88,16 @@ def mirror_check(g: Graph, s: int) -> MirrorReport:
     if s & ~full:
         raise ValueError("s mentions vertices outside the graph")
     blue = s
-    parts = _parts(g.adj, s, full & ~s, True)
-    t = 0
     log: list[MirrorStep] = []
-    while blue != full:
-        white_connected = len(parts) <= 1
-        valid = _valid(parts)
-        if not valid:
-            return MirrorReport(False, tuple(log), f"no psd force at time {t}")
-        force = min(valid)
+    for t, (force, parts) in enumerate(_walk(g.adj, s, full, True, _least)):
+        white_connected = parts <= 1
         standard_valid = g.adj[force.source] & ~blue == 1 << force.target
         log.append(MirrorStep(t, force, white_connected, standard_valid))
         if not (white_connected and standard_valid):
             return MirrorReport(False, tuple(log), f"assertion failed at time {t}")
         blue |= 1 << force.target
-        _split(g.adj, parts, blue, force.target, True)
-        t += 1
+    if blue != full:
+        return MirrorReport(False, tuple(log), f"no psd force at time {len(log)}")
     return MirrorReport(True, tuple(log))
 
 

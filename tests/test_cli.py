@@ -88,6 +88,18 @@ class TestSolve:
         assert doc is None
         assert "error:" in err
 
+    def test_bad_cap_rejected_before_search(self, capsys, monkeypatch):
+        calls = []
+        search = solver._search_min
+        monkeypatch.setattr(solver, "_search_min",
+                            lambda *args: calls.append(args) or search(*args))
+        g = complete_graph(12)
+        code, doc, err = run_cli(capsys, ["solve", "--cap", "0", "--graph6", to_graph6(g)])
+        assert (code, doc, err) == (2, None, "error: cap must be at least 1\n")
+        with pytest.raises(ValueError, match="cap must be at least 1"):
+            solver.all_minimum_sets(g, "psd", cap=0)
+        assert calls == []
+
     def test_graph6_takes_precedence(self, capsys, edges_file):
         code, doc, _ = run_cli(
             capsys, ["solve", "--graph6", "A_", "--edges", edges_file])

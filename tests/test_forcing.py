@@ -180,6 +180,19 @@ class TestChronologicalList:
                                replay=[Force(3, 2), Force(5, 7)])
         assert info.value.step == 2
 
+    def test_replay_rejects_a_force_past_the_end(self, two_diamonds):
+        lex = chronological_list(two_diamonds, B0, Rule.PSD)
+        with pytest.raises(ChronologyError) as info:
+            chronological_list(two_diamonds, B0, Rule.PSD,
+                               replay=lex.forces() + [Force(0, 1)])
+        assert info.value.step == lex.tau + 1
+        assert str(info.value) == f"force {Force(0, 1)} not valid at step {lex.tau + 1}"
+
+    def test_replay_takes_any_iterable(self, two_diamonds):
+        lex = chronological_list(two_diamonds, B0, Rule.PSD)
+        for replay in (list(lex.forces()), tuple(lex.forces()), iter(lex.forces())):
+            assert chronological_list(two_diamonds, B0, Rule.PSD, replay=replay) == lex
+
     def test_replay_rejects_incomplete(self, two_diamonds):
         with pytest.raises(ChronologyError):
             chronological_list(two_diamonds, B0, Rule.PSD, replay=[Force(3, 2)])
@@ -189,8 +202,8 @@ class TestChronologicalList:
             chronological_list(two_diamonds, B0, Rule.STANDARD)
 
     def test_errors_pinned(self, two_diamonds):
-        # the lex path finds a stall in its own walk, the replay path in a
-        # closure first; both report it alike, and neither takes stray bits
+        # both paths find the stall in their walk and name it after a
+        # closure; both report it alike, and neither takes stray bits
         for replay in (None, [Force(3, 2)]):
             with pytest.raises(ChronologyError) as info:
                 chronological_list(two_diamonds, B0, Rule.STANDARD, replay=replay)

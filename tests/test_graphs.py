@@ -148,6 +148,12 @@ class TestSubgraphsComponents:
         assert h.edge_count == 5
         assert not h.has_edge(0, 3)   # 5 and 8 are not adjacent
 
+    def test_induced_rejects_bits_past_the_mask_width(self):
+        # bits at 64 and above are outside every graph, not silently dropped
+        for s in (1 << 64 | 1, 1 << 64):
+            with pytest.raises(ValueError, match="induced set mentions vertices outside"):
+                induced_subgraph(path_graph(3), s)
+
     def test_components_sorted_by_least_member(self):
         g = from_edge_list(6, [(4, 5), (0, 1)])
         comps = components(g, g.full_mask)

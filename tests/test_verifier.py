@@ -6,6 +6,7 @@ from conftest import two_diamonds_graph
 from naive import naive_forcing_number
 from zforcing import solver, verifier
 from zforcing import (
+    Force,
     check_equality,
     complete_graph,
     cycle_graph,
@@ -22,6 +23,7 @@ from zforcing import (
     to_graph6,
 )
 from zforcing.classes import _canonical, _graph_classes, _rows_of_key
+from zforcing.verifier import MirrorStep
 
 
 class TestCheckEquality:
@@ -71,6 +73,14 @@ class TestMirrorCheck:
         rep = mirror_check(cycle_graph(4), mask_of([0]))
         assert not rep.passed
         assert rep.reason == "no psd force at time 0"
+
+    def test_stalls_after_a_logged_step(self):
+        # 0 forces 1; then 1 sees both white vertices of the edge 2-3
+        g = from_edge_list(4, [(0, 1), (1, 2), (1, 3), (2, 3)])
+        rep = mirror_check(g, mask_of([0]))
+        assert not rep.passed
+        assert rep.reason == "no psd force at time 1"
+        assert rep.steps == (MirrorStep(0, Force(0, 1), True, True),)
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(ValueError):

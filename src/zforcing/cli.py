@@ -233,6 +233,22 @@ _HANDLERS = {
 }
 
 
+def _drop(stream) -> None:
+    """Send what is still buffered for a stream whose reader went away to
+    devnull, so that the interpreter's flush at exit does not fail again."""
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, stream.fileno())
+    os.close(devnull)
+
+
+def _report(text: str) -> None:
+    """Print a diagnostic to stderr, which may share stdout's closed pipe."""
+    try:
+        print(text, file=sys.stderr)
+    except BrokenPipeError:
+        _drop(sys.stderr)
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
@@ -242,22 +258,17 @@ def main(argv=None) -> int:
     try:
         doc, code = _HANDLERS[args.command](args)
     except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _report(f"error: {exc}")
         return 2
     except Exception as exc:  # a crash must not read as a verify failure
         import traceback  # only on this path, to keep start-up lean
-        traceback.print_exc()
-        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        _report(f"{traceback.format_exc()}internal error: {type(exc).__name__}: {exc}")
         return 3
     try:
         print(json.dumps(doc, indent=2))
     except BrokenPipeError as exc:
-        # The reader went away. Send what is still buffered to devnull, so
-        # that the interpreter's flush at exit does not fail a second time.
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
-        os.close(devnull)
-        print(f"error: {exc}", file=sys.stderr)
+        _drop(sys.stdout)
+        _report(f"error: {exc}")
         return 2
     return code
 

@@ -9,6 +9,21 @@ holds under both rules: their closures are monotone and idempotent, since
 a valid force stays valid when more vertices are blue, unless its target
 is one of them.
 
+A candidate P + v that cannot make a first force is its own closure, so
+it is dropped with bit tests and no closure, unless it is the whole
+vertex set. Let W be the complement of P. Under the standard rule P + v
+has a force only if
+
+- some u in P has exactly one neighbour in W, other than v;
+- v is one of exactly two neighbours in W of some u in P; or
+- v has exactly one neighbour in W.
+
+Which members of P have one or two neighbours in W is found once per
+prefix. The psd rule applies the standard rule inside each component of
+the white set W - v, so when G[W - v] is connected the two rules agree.
+Only a candidate that fails the standard test is checked for that, with
+one BFS.
+
 Sizes are visited in this order:
 
 - Every size below min degree fails without a search, since
@@ -42,7 +57,8 @@ import math
 import time
 from typing import Iterator, NamedTuple
 
-from .graphs import Graph, bits, components, induced_subgraph, mask_of
+from .graphs import (Graph, _reach_near, bits, components, induced_subgraph,
+                     mask_of)
 from .forcing import Rule, _close, _rule
 
 
@@ -58,8 +74,8 @@ def _forcing_sets_of_size(adj: tuple[int, ...], n: int, k: int,
                           psd: bool) -> Iterator[tuple[int, int]]:
     """Yield (forcing set, 1-based lex position among the size-k sets) for
     every size-k forcing set of one whole graph, in lexicographic order.
-    Candidates inside a failed closure of their prefix are skipped; see the
-    module docstring."""
+    Candidates inside a failed closure of their prefix, and candidates that
+    cannot make a first force, are skipped; see the module docstring."""
     full = (1 << n) - 1
     if not k:  # the empty set forces the empty graph only
         if not full:
@@ -69,9 +85,25 @@ def _forcing_sets_of_size(adj: tuple[int, ...], n: int, k: int,
     for prefix in itertools.combinations(range(n - 1), k - 1):
         start = prefix[-1] + 1 if prefix else 0
         base = mask_of(prefix)
+        white = full ^ base
+        ones = twos = 0  # prefix vertices' lone white neighbours and white pairs
+        for u in prefix:
+            inter = adj[u] & white
+            if inter.bit_count() == 1:
+                ones |= inter
+            elif inter.bit_count() == 2:
+                twos |= inter
         rest = full >> start << start
         while rest:
             low = rest & -rest
+            if not (ones & ~low or twos & low
+                    or (adj[low.bit_length() - 1] & white).bit_count() == 1
+                    or white == low):
+                # no standard force; nor a psd one unless white - v splits
+                left = white ^ low
+                if not psd or _reach_near(adj, left & -left, left)[0] == left:
+                    rest ^= low
+                    continue
             closed = _close(adj, base | low, full, psd)
             if closed == full:
                 yield base | low, before + low.bit_length() - start

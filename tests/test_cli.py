@@ -22,6 +22,20 @@ def run_cli(capsys, argv, stdin: str | None = None, monkeypatch=None):
     return code, doc, captured.err
 
 
+class ClosedPipe(io.StringIO):
+    """A stream whose reader went away, over the descriptor of target."""
+
+    def __init__(self, target):
+        super().__init__()
+        self.target = target
+
+    def write(self, s):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def fileno(self):
+        return self.target.fileno()
+
+
 @pytest.fixture
 def edges_file(tmp_path):
     lines = ["8 11"] + [f"{u} {v}" for u, v in TWO_DIAMONDS_EDGES]
@@ -385,17 +399,19 @@ class TestUsage:
 
     def test_closed_stdout_exits_2(self, capsys, monkeypatch, tmp_path):
         with open(tmp_path / "out", "w") as target:
-            class ClosedPipe(io.StringIO):
-                def write(self, s):
-                    raise BrokenPipeError(32, "Broken pipe")
-
-                def fileno(self):
-                    return target.fileno()
-
-            monkeypatch.setattr("sys.stdout", ClosedPipe())
+            monkeypatch.setattr("sys.stdout", ClosedPipe(target))
             code = main(["verify", "--mode", "theorem", "--enumerate", "5"])
         assert code == 2
         assert capsys.readouterr().err == "error: [Errno 32] Broken pipe\n"
+
+    def test_crash_on_closed_stderr_exits_3(self, monkeypatch, tmp_path):
+        def crash(args):
+            raise AssertionError("lemma postcondition broke")
+
+        monkeypatch.setitem(cli._HANDLERS, "solve", crash)
+        with open(tmp_path / "err", "w") as target:
+            monkeypatch.setattr("sys.stderr", ClosedPipe(target))
+            assert main(["solve", "--graph6", to_graph6(path_graph(3))]) == 3
 
     def test_closed_stdout_is_quiet_at_exit(self):
         proc = subprocess.Popen(
@@ -406,6 +422,19 @@ class TestUsage:
         _, err = proc.communicate(timeout=60)
         assert proc.returncode == 2
         assert err.decode() == "error: [Errno 32] Broken pipe\n"
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", "--mode", "theorem", "--enumerate", "5"],
+        ["solve", "--graph6", "@"],
+        ["solve", "--graph6", "bad!"],
+    ], ids=["verify", "solve", "bad-input"])
+    def test_closed_shared_pipe_exits_2(self, argv):
+        # stderr writes to stdout's pipe, so the error line has no reader
+        # either; exit 120 would mean a failed flush at interpreter exit
+        proc = subprocess.Popen([sys.executable, "-m", "zforcing.cli", *argv],
+                                stdout=subprocess.PIPE, stderr=subprocess.STDOUT)
+        proc.stdout.close()
+        assert proc.wait(timeout=60) == 2
 
 
 class TestDeterminism:

@@ -1,13 +1,14 @@
 from __future__ import annotations
 
+import itertools
 import random
 
 import pytest
 from hypothesis import given
 
 from conftest import TWO_DIAMONDS_EDGES, graphs, two_diamonds_graph
-from naive import (naive_forcing_number, naive_minimum_sets, naive_search,
-                   naive_search_by_component)
+from naive import (comps_of, naive_forcing_number, naive_is_forcing,
+                   naive_minimum_sets, naive_search, naive_search_by_component)
 from zforcing import (
     Rule,
     all_minimum_sets,
@@ -195,6 +196,78 @@ class TestPrunedScan:
         report = forcing_number(g, Rule.PSD)
         assert (report.value, report.witness, report.tested) == (2, mask_of([0, 5]), 15)
         assert len(calls) < report.tested
+
+
+def _reference_scan(g, k, rule):
+    """Every size-k forcing set with its 1-based lex position, closing
+    every candidate."""
+    return [(mask_of(combo), pos) for pos, combo in
+            enumerate(itertools.combinations(range(g.n), k), 1)
+            if naive_is_forcing(g, set(combo), rule.value)]
+
+
+def _can_start(g, blue, psd):
+    """Whether blue is the whole graph, some blue vertex has exactly one
+    white neighbour, or (psd) the white set is disconnected."""
+    white = g.full_mask & ~blue
+    return (not white
+            or any((g.adj[u] & white).bit_count() == 1 for u in bits(blue))
+            or psd and len(comps_of(g, set(bits(white)))) > 1)
+
+
+class TestFirstForceFilter:
+    """The lex scan drops, without a closure, every candidate that cannot
+    make a first force; its stream of forcing sets and positions must be
+    that of a scan that closes every candidate."""
+
+    def _check(self, g, rule):
+        for k in range(g.n + 1):
+            got = list(solver._forcing_sets_of_size(g.adj, g.n, k, rule is Rule.PSD))
+            assert got == _reference_scan(g, k, rule), (g, k, rule)
+
+    @pytest.mark.parametrize("rule", list(Rule), ids=lambda r: r.value)
+    def test_matches_unfiltered_scan_on_classes(self, rule):
+        for n in range(1, 7):
+            for g, _ in _graph_classes(n):
+                self._check(g, rule)
+
+    def test_whole_vertex_set_is_never_skipped(self):
+        k1 = from_edge_list(1, [])
+        for rule in Rule:
+            assert list(solver._forcing_sets_of_size(k1.adj, 1, 1, rule is Rule.PSD)) \
+                == [(1, 1)]
+
+    def test_disconnected_white_set_under_psd(self):
+        # two paths 1-0-2 and 4-3-5: from {0, 3} each blue vertex has two
+        # white neighbours, but the white set splits into four single
+        # vertices, and the psd rule forces them all
+        g = from_edge_list(6, [(0, 1), (0, 2), (3, 4), (3, 5)])
+        assert not _can_start(g, mask_of([0, 3]), False)
+        assert _can_start(g, mask_of([0, 3]), True)
+        assert (mask_of([0, 3]), 3) in _reference_scan(g, 2, Rule.PSD)
+        for rule in Rule:
+            self._check(g, rule)
+
+    @pytest.mark.parametrize("rule", list(Rule), ids=lambda r: r.value)
+    def test_matches_unfiltered_scan_on_trees_and_unicyclic(self, rule):
+        for g in _trees_and_unicyclic(9, range(3, 10), 1):
+            self._check(g, rule)
+
+    def test_closures_only_where_a_force_can_start(self, monkeypatch):
+        close = solver._close
+        graphs_ = _random_connected(11, 16, range(9, 12), (0.3, 0.7))
+        for g in graphs_:
+            for rule in Rule:
+                psd = rule is Rule.PSD
+
+                def pinned(adj, blue, full, psd_):
+                    assert psd_ is psd and _can_start(g, blue, psd)
+                    return close(adj, blue, full, psd_)
+                monkeypatch.setattr(solver, "_close", pinned)
+                k, combo, tried = naive_search(g, rule.value)
+                report = forcing_number(g, rule)
+                assert (report.value, report.witness, report.tested) \
+                    == (k, mask_of(combo), tried)
 
 
 class TestAllMinimumSets:

@@ -2,10 +2,11 @@
 
 Given a connected graph, a psd forcing set s, and a component c of g - s,
 one enlargement step picks a boundary vertex x of c that also sees the
-rest of the graph, finds the first time the run from s has all of x's
-neighborhood blue or inside c, and re-sorts the forces so that x itself
-performs the force at that step. The terminus of the resulting bundle is
-a same-size psd forcing set whose removal leaves x's side strictly larger
+rest of the graph, finds the first time t the run from s has all of x's
+neighborhood blue or inside c, and keeps the run's first t - 1 forces,
+then has x itself force at step t and stops: the bundle toward x's
+target is blue by step t and reads no later step. Its terminus is a
+same-size psd forcing set whose removal leaves x's side strictly larger
 than c. If the saturation time is 0, s was not minimum and a strictly
 smaller forcing set falls out instead. Iterating the step from a minimum
 set yields a minimum psd forcing set with connected complement.
@@ -14,9 +15,9 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .graphs import Graph, bits, components, is_connected, mask_of, reach
-from .forcing import (Chronology, ChronologyError, Force, Rule, _least, _walk,
-                      chronological_list, expansion_sequence, is_forcing_set)
+from .graphs import Graph, bits, components, is_connected, reach
+from .forcing import (Chronology, ChronologyError, Force, Rule, chronological_list,
+                      expansion_sequence, is_forcing_set, valid_forces)
 from .bundles import build_bundle, terminus
 from .solver import forcing_number
 
@@ -40,6 +41,8 @@ class MinimalityRefutation(NamedTuple):
 
 def boundary_set(g: Graph, s: int, c: int) -> int:
     """Members of s with a neighbor in c."""
+    if s & ~g.full_mask:
+        raise ValueError("s mentions vertices outside the graph")
     out = 0
     for v in bits(s):
         if g.adj[v] & c:
@@ -61,6 +64,8 @@ def find_pivot(g: Graph, s: int, c: int) -> int:
 
 def first_saturation_time(g: Graph, f, x: int, c: int) -> int:
     """Least t with N[x] contained in E[t] union c."""
+    if not 0 <= x < g.n:
+        raise ValueError(f"vertex {x} outside the graph")
     closed = g.adj[x] | 1 << x
     for t, state in enumerate(expansion_sequence(f)):
         if not closed & ~(state | c):
@@ -116,23 +121,13 @@ def _improve(g: Graph, s: int, c: int, f: Chronology) -> "ReconnectionStep | Min
     if not g.adj[x] >> w_star & 1 or c >> w_star & 1:
         raise AssertionError("w* must be a neighbor of x outside c")
 
-    # f' keeps f's first t - 1 forces, so its states up to t - 1 are f's;
-    # then x forces w*, and the tail replays f's forces when still valid,
-    # else the lex-least one (a force into blue stays listed, never valid)
-    order = [next(iter(step)) for step in f.steps[: t - 1]]
-    blue = s | mask_of(fc.target for fc in order)
-    pending = [Force(x, w_star)] + [next(iter(step)) for step in f.steps[t:]]
-
-    def pick(valid):
-        for i, fc in enumerate(pending):
-            if fc in valid:
-                return pending.pop(i)
-        return _least(valid)
-    order += [fc for fc, _ in _walk(g.adj, blue, g.full_mask, True, pick)]
-    if order[t - 1] != Force(x, w_star):
+    # f' keeps f's first t - 1 forces, so its states up to t - 1 are f's,
+    # then x forces w* and f' ends: the bundle toward w* reads only steps
+    # 1..t, and every later force targets a vertex outside it
+    if Force(x, w_star) not in valid_forces(g, expansion_sequence(f)[t - 1], Rule.PSD):
         raise AssertionError("x must force w* at step t")
 
-    f_prime = Chronology(s, tuple(frozenset([fc]) for fc in order), Rule.PSD)
+    f_prime = Chronology(s, f.steps[: t - 1] + (frozenset([Force(x, w_star)]),), Rule.PSD)
     bundle = build_bundle(g, f_prime, w_star)
     s_prime = terminus(g, f_prime, bundle)
 

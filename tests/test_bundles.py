@@ -118,7 +118,8 @@ class TestTerminus:
     def test_size_law_exhaustive(self):
         # every minimum psd set, the lex list plus seeded random lists,
         # every target vertex: the terminus keeps one vertex per path and
-        # is itself a minimum psd forcing set
+        # is itself a minimum psd forcing set; cutting the list after step
+        # t_x changes neither the bundle nor its terminus
         rng = random.Random(41)
         for n in range(2, 5):
             for g in enumerate_graphs(n, connected_only=True):
@@ -131,6 +132,9 @@ class TestTerminus:
                             assert len(bundle.paths) == witness.bit_count()
                             t = terminus(g, chron, bundle)
                             assert t.bit_count() == witness.bit_count()
+                            cut = chron._replace(steps=chron.steps[:bundle.t_x])
+                            assert build_bundle(g, cut, x) == bundle
+                            assert terminus(g, cut, bundle) == t
 
     def test_terminus_vertices_end_paths(self, two_diamonds):
         # each terminus member is the last vertex of its own path
@@ -166,6 +170,26 @@ except AssertionError as exc:
         optimize, result = run.stdout.splitlines()
         assert optimize == "1"
         assert result.startswith("AssertionError:")
+
+    def test_reconnection_step_check_survives_optimize(self):
+        # the graph of test_wrong_saturation_time_raises with the saturation
+        # time patched one step early: x cannot force w* there, and the
+        # check must still fire under python -O
+        script = """
+import sys
+from zforcing import from_edge_list, improve_component, mask_of, reconnection
+g = from_edge_list(5, [(0, 1), (0, 2), (0, 4), (1, 2), (1, 3)])
+reconnection.first_saturation_time = lambda *args: 2
+print(sys.flags.optimize)
+try:
+    print(improve_component(g, mask_of([0, 3]), mask_of([4])))
+except AssertionError as exc:
+    print("AssertionError:", exc)
+"""
+        run = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True,
+                             text=True, timeout=60)
+        assert run.returncode == 0, run.stderr
+        assert run.stdout.splitlines() == ["1", "AssertionError: x must force w* at step t"]
 
 
 class TestHistoryMatchesSetReference:

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import random
 
 import pytest
@@ -53,6 +54,17 @@ class TestPieces:
         g = path_graph(2)
         with pytest.raises(ValueError):
             find_pivot(g, mask_of([0]), mask_of([1]))
+
+    def test_out_of_range_inputs_rejected(self):
+        g = path_graph(4)
+        f = chronological_list(g, mask_of([0]), Rule.PSD)
+        for s in (1 << 9, -1):
+            for helper in (boundary_set, find_pivot):
+                with pytest.raises(ValueError, match="s mentions vertices outside the graph"):
+                    helper(g, s, mask_of([1]))
+        for x in (9, -1):
+            with pytest.raises(ValueError, match=f"vertex {x} outside the graph"):
+                first_saturation_time(g, f, x, 0)
 
     def test_saturation_time(self):
         g = path_graph(3)
@@ -205,3 +217,29 @@ class TestConnectedComplement:
                 chain = [st.s for st in steps] + [s]
                 for st, nxt in zip(steps, chain[1:]):
                     assert st.s_prime == nxt
+
+    def test_trace_pinned_on_sparse_graphs(self):
+        # random recursive trees with n = 16..40, every other one with one
+        # extra edge, and vertex 0 (where the solver's witness sits) moved to
+        # an inner vertex so each trace takes steps; the digest pins every
+        # returned set and step
+        rng = random.Random(1717)
+        traces = []
+        for i in range(60):
+            n = rng.randrange(16, 41)
+            parent = [rng.randrange(v) for v in range(1, n)]
+            label = list(range(n))
+            rng.shuffle(label)
+            inner = rng.choice([v for v in range(n) if parent.count(v) + (v > 0) >= 2])
+            at = label.index(0)
+            label[at], label[inner] = label[inner], 0
+            edges = {(label[v], label[p]) for v, p in enumerate(parent, 1)}
+            if i % 2:
+                u, v = rng.sample(range(n), 2)
+                while (u, v) in edges or (v, u) in edges:
+                    u, v = rng.sample(range(n), 2)
+                edges.add((u, v))
+            traces.append(connected_complement_trace(from_edge_list(n, sorted(edges))))
+        assert all(steps for _, steps in traces)
+        digest = hashlib.sha256(repr(traces).encode()).hexdigest()
+        assert digest == "a2187d14d8b342d811deb4be37318b2e22fbf9484476b075f504ea97d0076623"

@@ -37,20 +37,13 @@ class PathBundle(NamedTuple):
         return m
 
 
-def _forcing_step_of(f: Chronology, x: int) -> int:
-    for t, step in enumerate(f.steps):
-        if any(fc.target == x for fc in step):
-            return t + 1
-    raise ValueError(f"vertex {x} is never forced by this chronology")
-
-
 def component_history(g: Graph, f: Chronology, x: int) -> ComponentHistory:
     if not 0 <= x < g.n:
         raise ValueError(f"vertex {x} outside the graph")
-    if f.initial >> x & 1:
-        return ComponentHistory(x, 0, ())
-    t_x = _forcing_step_of(f, x)
     states = expansion_sequence(f)
+    t_x = next((t for t, blue in enumerate(states) if blue >> x & 1), None)
+    if t_x is None:
+        raise ValueError(f"vertex {x} is never forced by this chronology")
     comps = tuple(reach(g.adj, 1 << x, g.full_mask & ~states[t])
                   for t in range(t_x))
     return ComponentHistory(x, t_x, comps)

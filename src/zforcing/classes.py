@@ -10,7 +10,7 @@ import itertools
 import math
 from typing import Iterator
 
-from .graphs import Graph, _claw_centered, bits, mask_of
+from .graphs import Graph, _claws, bits, mask_of
 
 
 def _cells(adj: tuple[int, ...]) -> list[int]:
@@ -98,7 +98,7 @@ def _claw_through(adj: tuple[int, ...], k: int) -> bool:
     that it has none without k. Such a claw has k as its center, or as a
     leaf at some neighbour u of k whose other two leaves are nonadjacent
     neighbours of u outside N[k]."""
-    if _claw_centered(adj, 1 << k):
+    if any(_claws(adj, 1 << k)):
         return True
     far = ~(adj[k] | 1 << k)
     for u in bits(adj[k]):

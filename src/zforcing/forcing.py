@@ -7,10 +7,12 @@ into the components of the subgraph it induces; a blue vertex u forces a
 white vertex w when w is u's only neighbor inside w's component. Both
 rules are one kernel over parts of the white set: the whole set under the
 standard rule, each of its components under the psd rule. `_walk` is
-the one place that keeps the parts between steps, for every walk that
-applies one force per step; it splits again only the part of the vertex
-just forced. A chronology records the set of forces applied at each time
-step, and its expansion sequence records the blue set after each step.
+the one place that keeps the parts between steps, for every walk: the
+greedy closure forces every target it can at each step, the lex and
+replayed lists one vertex per step; it splits again only the parts that
+held a vertex just forced. A chronology records the set of forces
+applied at each time step, and its expansion sequence records the blue
+set after each step.
 """
 from __future__ import annotations
 
@@ -133,27 +135,34 @@ def _parts(adj: Sequence[int], blue: int, white: int,
 
 
 def _walk(adj: Sequence[int], blue: int, full: int, psd: bool,
-          pick: Callable[[set[Force]], Force | None]) -> Iterator[tuple[Force, int]]:
-    """Apply one force per step until pick(valid forces) returns None, as it
-    must once `full` is blue, and yield each force with the number of white
-    parts before it. No other part touches the vertex just forced, so only
-    its own part, and the forces into it, are split again."""
+          pick: Callable[[set[Force]], list[Force]]) -> Iterator[tuple[list[Force], int]]:
+    """Apply one step of forces, with distinct targets, at a time until
+    pick(valid forces) returns none, as it must once `full` is blue, and
+    yield each step with the number of white parts before it. No part
+    touches another's target, so only the parts that held a target are
+    split again, last first so that a split moves no part still to visit."""
     parts = _parts(adj, blue, full & ~blue, psd)
     while True:
-        force = pick({f for _, forces in parts for f in forces})
-        if force is None:
+        step = pick({f for _, forces in parts for f in forces})
+        if not step:
             return
-        yield force, len(parts)
-        t = force.target
-        blue |= 1 << t
-        for i, (part, _) in enumerate(parts):
-            if part >> t & 1:
-                parts[i:i + 1] = _parts(adj, blue, part & ~(1 << t), psd)
-                break
+        yield step, len(parts)
+        forced = 0
+        for _, t in step:
+            forced |= 1 << t
+        blue |= forced
+        for i in reversed(range(len(parts))):
+            if parts[i][0] & forced:
+                parts[i:i + 1] = _parts(adj, blue, parts[i][0] & ~forced, psd)
 
 
-def _least(valid: set[Force]) -> Force | None:
-    return min(valid, default=None)
+def _least(valid: set[Force]) -> list[Force]:
+    return [min(valid)] if valid else []
+
+
+def _greedy(valid: set[Force]) -> list[Force]:
+    """Every target once, from its least source."""
+    return list({f.target: f for f in sorted(valid, reverse=True)}.values())
 
 
 def valid_forces(g: Graph, blue: int, rule: "Rule | str") -> set[Force]:
@@ -189,21 +198,11 @@ def closure(g: Graph, initial: int, rule: "Rule | str") -> tuple[Chronology, tup
     duplicate targets in favor of the smallest source id, until no force
     remains. Returns the chronology and its expansion sequence."""
     rule = _rule(rule)
-    blue = initial
-    steps: list[frozenset[Force]] = []
-    states = [blue]
-    while True:
-        valid = valid_forces(g, blue, rule)
-        if not valid:
-            break
-        by_target: dict[int, int] = {}
-        for f in sorted(valid):
-            by_target.setdefault(f.target, f.source)
-        step = frozenset(Force(s, t) for t, s in by_target.items())
-        steps.append(step)
-        blue |= mask_of(by_target)
-        states.append(blue)
-    return Chronology(initial, tuple(steps), rule), tuple(states)
+    if initial & ~g.full_mask:
+        raise ValueError("blue set mentions vertices outside the graph")
+    steps = _walk(g.adj, initial, g.full_mask, rule is Rule.PSD, _greedy)
+    chron = Chronology(initial, tuple(frozenset(step) for step, _ in steps), rule)
+    return chron, expansion_sequence(chron)
 
 
 def closure_mask(g: Graph, initial: int, rule: "Rule | str") -> int:
@@ -236,17 +235,17 @@ def chronological_list(g: Graph, b: int, rule: "Rule | str",
 
         def pick(valid):
             pulled[:] = islice(rest, 1)
-            return pulled[0] if pulled and pulled[0] in valid else None
-    order = [force for force, _ in _walk(g.adj, b, full, rule is Rule.PSD, pick)]
-    if len(order) == (full & ~b).bit_count() and not pulled:
-        return Chronology(b, tuple(frozenset([f]) for f in order), rule)
+            return pulled[:] if pulled and pulled[0] in valid else []
+    steps = [frozenset(step) for step, _ in _walk(g.adj, b, full, rule is Rule.PSD, pick)]
+    if len(steps) == (full & ~b).bit_count() and not pulled:
+        return Chronology(b, tuple(steps), rule)
     # an initial set that does not force is named before the replayed force
     # at fault; the closure runs only on this error path
     if not is_forcing_set(g, b, rule):
         raise ChronologyError("initial set does not force the whole graph")
     if not pulled:
         raise ChronologyError("replayed forces stop before the graph is blue")
-    step = len(order) + 1
+    step = len(steps) + 1
     raise ChronologyError(f"force {pulled[0]} not valid at step {step}", step=step)
 
 

@@ -322,47 +322,41 @@ def is_connected(g: Graph) -> bool:
     return reach(g.adj, 1, g.full_mask) == g.full_mask
 
 
-def find_claws(g: Graph) -> list[Claw]:
-    """All induced stars on four vertices: a center adjacent to three
-    pairwise nonadjacent leaves. Centers ascending, leaf triples in
-    lexicographic order."""
-    out = []
-    for center in range(g.n):
-        nbrs = list(bits(g.adj[center]))
-        if len(nbrs) < 3:
-            continue
-        for a, b, c in itertools.combinations(nbrs, 3):
-            if not (g.adj[a] >> b & 1 or g.adj[a] >> c & 1 or g.adj[b] >> c & 1):
-                out.append(Claw(center, (a, b, c)))
-    return out
-
-
-def _claw_centered(adj: tuple[int, ...], centers: int) -> bool:
-    """Whether some vertex of the mask centers is the center of an induced
-    claw: whether it has three pairwise nonadjacent neighbours."""
+def _claws(adj: tuple[int, ...], centers: int) -> Iterator[Claw]:
+    """The induced claws centered in the mask centers: stars on four
+    vertices, a center adjacent to three pairwise nonadjacent leaves.
+    Centers ascending, leaf triples in lexicographic order."""
     while centers:
         low = centers & -centers
         centers ^= low
-        rem = adj[low.bit_length() - 1]
+        center = low.bit_length() - 1
+        rem = adj[center]
         if rem.bit_count() < 3:
             continue
         while rem:
             abit = rem & -rem
             rem ^= abit
-            others = rem & ~adj[abit.bit_length() - 1]
-            o2 = others
-            while o2:
-                bbit = o2 & -o2
-                o2 ^= bbit
-                if others & ~adj[bbit.bit_length() - 1] & ~bbit:
-                    return True
-    return False
+            a = abit.bit_length() - 1
+            others = rem & ~adj[a]
+            while others:
+                bbit = others & -others
+                others ^= bbit
+                b = bbit.bit_length() - 1
+                last = others & ~adj[b]
+                while last:
+                    cbit = last & -last
+                    last ^= cbit
+                    yield Claw(center, (a, b, cbit.bit_length() - 1))
+
+
+def find_claws(g: Graph) -> list[Claw]:
+    """All induced claws, centers ascending, leaf triples in lexicographic
+    order."""
+    return list(_claws(g.adj, g.full_mask))
 
 
 def has_claw(g: Graph) -> bool:
-    # early-exit variant of find_claws for corpus filtering; the two are
-    # cross-checked against each other in the tests
-    return _claw_centered(g.adj, g.full_mask)
+    return any(_claws(g.adj, g.full_mask))
 
 
 def is_claw_free(g: Graph) -> bool:

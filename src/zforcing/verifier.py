@@ -89,7 +89,7 @@ def mirror_check(g: Graph, s: int) -> MirrorReport:
         raise ValueError("s mentions vertices outside the graph")
     blue = s
     log: list[MirrorStep] = []
-    for t, (force, parts) in enumerate(_walk(g.adj, s, full, True, _least)):
+    for t, ([force], parts) in enumerate(_walk(g.adj, s, full, True, _least)):
         white_connected = parts <= 1
         standard_valid = g.adj[force.source] & ~blue == 1 << force.target
         log.append(MirrorStep(t, force, white_connected, standard_valid))
@@ -121,20 +121,19 @@ def _examine_one(g: Graph, weight: int, mode: str, summary: CorpusSummary) -> No
     if claw_free:
         summary.claw_free += weight
     if mode == "theorem":
-        if claw_free and is_connected(g):
-            summary.checked += weight
-            if _numbers_differ(g):
-                summary.failures.append(to_graph6(g))
+        if not (claw_free and is_connected(g)):
+            return
+        failed = _numbers_differ(g)
     elif mode == "corollary":
-        summary.checked += weight
-        if is_zz_perfect_direct(g) != claw_free:
-            summary.failures.append(to_graph6(g))
+        failed = is_zz_perfect_direct(g) != claw_free
     else:  # monotonicity
-        summary.checked += weight
         # Z+ > Z exactly when the standard witness does not psd-force
         witness = _search_min(g.adj, g.n, Rule.STANDARD)[1]
-        if _close(g.adj, witness, g.full_mask, True) != g.full_mask:
-            summary.failures.append(to_graph6(g))
+        failed = _close(g.adj, witness, g.full_mask, True) != g.full_mask
+    # a graph counts as checked only once its decision has returned
+    summary.checked += weight
+    if failed:
+        summary.failures.append(to_graph6(g))
 
 
 def _run_weighted(weighted, mode: str) -> CorpusSummary:

@@ -72,6 +72,20 @@ def naive_closure(g: Graph, initial: set[int], rule: str) -> set[int]:
         blue |= targets
 
 
+def naive_greedy_chronology(g: Graph, initial: set[int], rule: str) -> list[set[tuple[int, int]]]:
+    """The force set of each round of the greedy run: every valid target,
+    each from its least source, until no force is left."""
+    blue = set(initial)
+    out = []
+    while True:
+        valid = naive_valid_forces(g, blue, rule)
+        if not valid:
+            return out
+        step = {(min(u for u, t in valid if t == w), w) for _, w in valid}
+        out.append(step)
+        blue |= {w for _, w in step}
+
+
 def naive_is_forcing(g: Graph, initial: set[int], rule: str) -> bool:
     return naive_closure(g, initial, rule) == set(range(g.n))
 

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from conftest import graphs, two_diamonds_graph
-from naive import naive_chronological_list, naive_closure, naive_valid_forces
+from naive import (naive_chronological_list, naive_closure, naive_greedy_chronology,
+                   naive_valid_forces)
 from zforcing import (
     ChronologyError,
     ColorState,
@@ -142,6 +143,27 @@ class TestClosure:
                         expected = naive_closure(g, set(bits(blue)), name)
                         assert set(bits(expansion[-1])) == expected
                         assert closure_mask(g, blue, rule) == mask_of(expected)
+
+    @staticmethod
+    def _assert_greedy_steps(g, blue):
+        for rule, name in ((Rule.STANDARD, "standard"), (Rule.PSD, "psd")):
+            chron, expansion = closure(g, blue, rule)
+            expect = naive_greedy_chronology(g, set(bits(blue)), name)
+            assert [set(step) for step in chron.steps] == expect
+            masks = [blue]
+            for step in expect:
+                masks.append(masks[-1] | mask_of(w for _, w in step))
+            assert expansion == tuple(masks)
+
+    def test_steps_match_reference_exhaustive(self):
+        for n in range(1, 5):
+            for g in enumerate_graphs(n, connected_only=True):
+                for blue in _subset_masks(n):
+                    self._assert_greedy_steps(g, blue)
+
+    @given(graphs(max_n=9), st.integers(min_value=0))
+    def test_steps_match_reference(self, g, seed):
+        self._assert_greedy_steps(g, seed % (1 << g.n))
 
     @given(graphs(max_n=7), st.integers(min_value=0))
     def test_closure_mask_agrees(self, g, seed):

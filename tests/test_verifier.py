@@ -135,6 +135,29 @@ class TestRunCorpus:
         assert summary.checked == 2
         assert summary.errors == [f"{to_graph6(bad)}: RuntimeError: claw filter broke"]
 
+    @pytest.mark.parametrize("mode, decision", [
+        ("theorem", "_numbers_differ"),
+        ("corollary", "is_zz_perfect_direct"),
+        ("monotonicity", "_close"),
+    ])
+    def test_graph_that_raises_is_not_checked(self, monkeypatch, mode, decision):
+        # each mode decides once per path; the second decision raises
+        real = getattr(verifier, decision)
+        calls = []
+
+        def flaky(*args):
+            calls.append(args)
+            if len(calls) == 2:
+                raise RuntimeError("decision broke")
+            return real(*args)
+
+        monkeypatch.setattr(verifier, decision, flaky)
+        summary = run_corpus([path_graph(3), path_graph(5), path_graph(4)], mode)
+        assert len(calls) == 3
+        assert (summary.total, summary.claw_free, summary.checked) == (3, 3, 2)
+        assert summary.failures == []
+        assert summary.errors == [f"{to_graph6(path_graph(5))}: RuntimeError: decision broke"]
+
     def test_unknown_mode(self):
         with pytest.raises(ValueError):
             run_corpus([], "nonsense")

@@ -217,7 +217,7 @@ def _cmd_verify(args):
         summary = run_corpus(_iter_graph6_lines(sys.stdin), args.mode)
     elapsed_ms = (time.perf_counter() - start) * 1e3
     doc = docs.verify_document(summary, source, elapsed_ms=elapsed_ms)
-    return doc, (1 if summary.failures else 0)
+    return doc, (1 if summary.failures else 2 if summary.errors else 0)
 
 
 _HANDLERS = {

@@ -2,22 +2,23 @@
 
 Given a connected graph, a psd forcing set s, and a component c of g - s,
 one enlargement step picks a boundary vertex x of c that also sees the
-rest of the graph, finds the first time t the run from s has all of x's
-neighborhood blue or inside c, and keeps the run's first t - 1 forces,
-then has x itself force at step t and stops: the bundle toward x's
-target is blue by step t and reads no later step. Its terminus is a
-same-size psd forcing set whose removal leaves x's side strictly larger
-than c. If the saturation time is 0, s was not minimum and a strictly
-smaller forcing set falls out instead. Iterating the step from a minimum
-set yields a minimum psd forcing set with connected complement.
+rest of the graph and walks the lex psd run from s only up to the first
+time t it has all of x's neighborhood blue or inside c. It keeps that
+run's first t - 1 forces, then has x itself force at step t and stops:
+the bundle toward x's target is blue by step t and reads no later step.
+Its terminus is a same-size psd forcing set whose removal leaves x's
+side strictly larger than c. If the saturation time is 0, s was not
+minimum and a strictly smaller forcing set falls out instead. Iterating
+the step from a minimum set yields a minimum psd forcing set with
+connected complement.
 """
 from __future__ import annotations
 
 from typing import NamedTuple
 
 from .graphs import Graph, bits, components, is_connected, reach
-from .forcing import (Chronology, ChronologyError, Force, Rule, chronological_list,
-                      expansion_sequence, is_forcing_set, valid_forces)
+from .forcing import (Chronology, Force, Rule, _least, _walk, expansion_sequence,
+                      is_forcing_set, valid_forces)
 from .bundles import build_bundle, terminus
 from .solver import forcing_number
 
@@ -81,10 +82,8 @@ def improve_component(g: Graph, s: int, c: int) -> "ReconnectionStep | Minimalit
     """
     if not is_connected(g):
         raise ValueError("graph must be connected")
-    try:
-        f = chronological_list(g, s, Rule.PSD)
-    except ChronologyError:
-        raise ValueError("s is not a psd forcing set") from None
+    if not is_forcing_set(g, s, Rule.PSD):
+        raise ValueError("s is not a psd forcing set")
     if not c:
         raise ValueError("component is empty")
     if c & s:
@@ -94,13 +93,25 @@ def improve_component(g: Graph, s: int, c: int) -> "ReconnectionStep | Minimalit
         raise ValueError("c is not a component of g - s")
     if len(components(g, white)) < 2:
         raise ValueError("g - s is already connected")
-    return _improve(g, s, c, f)
+    return _improve(g, s, c)
 
 
-def _improve(g: Graph, s: int, c: int, f: Chronology) -> "ReconnectionStep | MinimalityRefutation":
-    """improve_component past its checks; f is the lex psd list from s."""
+def _improve(g: Graph, s: int, c: int) -> "ReconnectionStep | MinimalityRefutation":
+    """improve_component past its checks."""
     s0 = boundary_set(g, s, c)
     x = find_pivot(g, s, c)
+    # f is the lex psd list from s walked only up to step t: its first t
+    # steps do not depend on what comes after them
+    unsaturated = (g.adj[x] | 1 << x) & ~(s | c)
+
+    def pick(valid):
+        nonlocal unsaturated
+        step = _least(valid) if unsaturated else []
+        for _, w in step:
+            unsaturated &= ~(1 << w)
+        return step
+    f = Chronology(s, tuple(frozenset(step) for step, _ in
+                            _walk(g.adj, s, g.full_mask, True, pick)), Rule.PSD)
     t = first_saturation_time(g, f, x, c)
 
     if t == 0:
@@ -160,7 +171,7 @@ def connected_complement_trace(g: Graph) -> tuple[int, list[ReconnectionStep]]:
             return s, steps
         c = max(comps, key=lambda m: m.bit_count())  # list is least-member sorted
         # g is connected, s forces and c is a component of a split g - s
-        result = _improve(g, s, c, chronological_list(g, s, Rule.PSD))
+        result = _improve(g, s, c)
         # a minimum set can never trigger the refutation branch
         if not isinstance(result, ReconnectionStep):
             raise AssertionError("a minimum psd forcing set was refuted")

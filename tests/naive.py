@@ -104,6 +104,42 @@ def naive_chronological_list(g: Graph, initial: set[int], rule: str) -> list[tup
         blue.add(force[1])
 
 
+def naive_improve(g: Graph, s: set[int], c: set[int]) -> tuple[int, ...]:
+    """One reconnection step from the whole lex psd list: the pivot x, the
+    first time t the blue set or c holds N[x], the list cut to its first
+    t - 1 forces and then x -> w*, the path bundle toward w* and its
+    terminus. Returns (s, c, boundary, x, t, w*, s') with the sets as
+    bitmasks, or (y, s - y) when t is 0."""
+    adj = nbrs(g)
+
+    def mask(vs):
+        return sum(1 << v for v in vs)
+
+    boundary = {v for v in s if adj[v] & c}
+    x = min(v for v in boundary if adj[v] - boundary - c)
+    forces = naive_chronological_list(g, s, "psd")
+    states = [set(s)]
+    for _, w in forces:
+        states.append(states[-1] | {w})
+    t = next(t for t, blue in enumerate(states) if adj[x] | {x} <= blue | c)
+    if t == 0:
+        y = min(adj[x] - boundary - c)
+        return y, mask(s - {y})
+    w_star = forces[t - 1][1]
+    run = forces[:t - 1] + [(x, w_star)]
+    # one path from each vertex of s; a path grows when its end forces a
+    # vertex of w*'s white component, which the first t - 1 steps share
+    paths = [[v] for v in sorted(s)]
+    for (u, w), blue in zip(run, states):
+        comp = next(k for k in comps_of(g, set(range(g.n)) - blue) if w_star in k)
+        for path in paths:
+            if w in comp and path[-1] == u:
+                path.append(w)
+    on = {v for path in paths for v in path}
+    sources = {u for u, w in run if u in on and w in on}
+    return mask(s), mask(c), mask(boundary), x, t, w_star, mask(on - sources)
+
+
 def naive_search(g: Graph, rule: str) -> tuple[int, tuple[int, ...], int]:
     """(size, lex-least minimum forcing set, candidates tried) for the whole
     graph, trying every vertex set in size-ascending, lexicographic order."""

@@ -366,6 +366,26 @@ class TestVerify:
         assert code == 1
         assert doc["failures"] == ["A_"]
 
+    def test_errors_exit_2_with_document(self, capsys, monkeypatch):
+        # F~~~w has 7 vertices, past the direct perfection check's cap, so
+        # the graph raises: nothing is checked and the run is no success
+        code, doc, err = run_cli(
+            capsys, ["verify", "--mode", "corollary"], stdin="F~~~w\n",
+            monkeypatch=monkeypatch)
+        assert code == 2
+        assert err == ""
+        assert doc["checked"] == 0
+        assert doc["failures"] == []
+        assert doc["errors"] == ["F~~~w: ValueError: direct perfection check supports n <= 6 only"]
+
+    def test_failures_outrank_errors(self, capsys, monkeypatch):
+        fake = CorpusSummary(mode="theorem", total=2, claw_free=2, checked=1,
+                             failures=["A_"], errors=["Bw: RuntimeError: broke"])
+        monkeypatch.setattr("zforcing.verifier.run_corpus", lambda *a, **k: fake)
+        code, doc, _ = run_cli(capsys, ["verify", "--graph6", "A_"])
+        assert code == 1
+        assert doc["errors"] == ["Bw: RuntimeError: broke"]
+
 
 class TestUsage:
     def test_no_subcommand(self, capsys):

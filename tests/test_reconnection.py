@@ -1,17 +1,20 @@
 from __future__ import annotations
 
+import functools
 import hashlib
 import random
 
 import pytest
 
 from conftest import mk
+from naive import naive_improve
 from zforcing import reconnection
 from zforcing import (
     MinimalityRefutation,
     ReconnectionStep,
     Rule,
     all_minimum_sets,
+    bits,
     boundary_set,
     chronological_list,
     components,
@@ -32,6 +35,36 @@ from zforcing import (
     reach,
     star_graph,
 )
+
+
+@functools.cache
+def sparse_traces():
+    """(graph, trace) for 60 random recursive trees with n = 16..40, every
+    other one with one extra edge, and vertex 0 (where the solver's witness
+    sits) moved to an inner vertex so each trace takes steps."""
+    rng = random.Random(1717)
+    out = []
+    for i in range(60):
+        n = rng.randrange(16, 41)
+        parent = [rng.randrange(v) for v in range(1, n)]
+        label = list(range(n))
+        rng.shuffle(label)
+        inner = rng.choice([v for v in range(n) if parent.count(v) + (v > 0) >= 2])
+        at = label.index(0)
+        label[at], label[inner] = label[inner], 0
+        edges = {(label[v], label[p]) for v, p in enumerate(parent, 1)}
+        if i % 2:
+            u, v = rng.sample(range(n), 2)
+            while (u, v) in edges or (v, u) in edges:
+                u, v = rng.sample(range(n), 2)
+            edges.add((u, v))
+        g = from_edge_list(n, sorted(edges))
+        out.append((g, connected_complement_trace(g)))
+    return out
+
+
+def naive_step(g, s, c):
+    return naive_improve(g, set(bits(s)), set(bits(c)))
 
 
 class TestPieces:
@@ -127,6 +160,12 @@ class TestImproveComponent:
         with pytest.raises(ValueError, match="s is not a psd forcing set"):
             improve_component(cycle_graph(4), mask_of([0]), mask_of([2]))
 
+    def test_s_outside_graph_rejected(self):
+        g4 = path_graph(4)
+        for s in (mask_of([1, 9]), -1):
+            with pytest.raises(ValueError, match="blue set mentions vertices outside the graph"):
+                improve_component(g4, s, mask_of([0]))
+
     def test_wrong_saturation_time_raises(self, monkeypatch):
         # triangle 0-1-2 with a pendant 3 on 1 and 4 on 0: from s = {0, 3}
         # and c = {4}, x = 0 saturates at t = 3. One step early, step t's
@@ -161,6 +200,26 @@ class TestImproveComponent:
                         continue
                     for c in comps:
                         self._check_step(g, s, c, improve_component(g, s, c))
+
+    def test_matches_reference_exhaustive(self):
+        # every connected graph up to n=5, every psd forcing set (the
+        # minimum ones and the larger ones that reach the refutation branch)
+        # and every complement component: the step is the one the whole lex
+        # list gives
+        refuted = 0
+        for n in range(2, 6):
+            for g in enumerate_graphs(n, connected_only=True):
+                for s in range(1 << n):
+                    if not is_forcing_set(g, s, Rule.PSD):
+                        continue
+                    comps = components(g, g.full_mask & ~s)
+                    if len(comps) < 2:
+                        continue
+                    for c in comps:
+                        out = improve_component(g, s, c)
+                        refuted += isinstance(out, MinimalityRefutation)
+                        assert tuple(out) == naive_step(g, s, c)
+        assert refuted
 
     def test_postconditions_sampled(self):
         rng = random.Random(60822)
@@ -219,27 +278,35 @@ class TestConnectedComplement:
                     assert st.s_prime == nxt
 
     def test_trace_pinned_on_sparse_graphs(self):
-        # random recursive trees with n = 16..40, every other one with one
-        # extra edge, and vertex 0 (where the solver's witness sits) moved to
-        # an inner vertex so each trace takes steps; the digest pins every
-        # returned set and step
-        rng = random.Random(1717)
-        traces = []
-        for i in range(60):
-            n = rng.randrange(16, 41)
-            parent = [rng.randrange(v) for v in range(1, n)]
-            label = list(range(n))
-            rng.shuffle(label)
-            inner = rng.choice([v for v in range(n) if parent.count(v) + (v > 0) >= 2])
-            at = label.index(0)
-            label[at], label[inner] = label[inner], 0
-            edges = {(label[v], label[p]) for v, p in enumerate(parent, 1)}
-            if i % 2:
-                u, v = rng.sample(range(n), 2)
-                while (u, v) in edges or (v, u) in edges:
-                    u, v = rng.sample(range(n), 2)
-                edges.add((u, v))
-            traces.append(connected_complement_trace(from_edge_list(n, sorted(edges))))
+        # the digest pins every returned set and step
+        traces = [trace for _, trace in sparse_traces()]
         assert all(steps for _, steps in traces)
         digest = hashlib.sha256(repr(traces).encode()).hexdigest()
         assert digest == "a2187d14d8b342d811deb4be37318b2e22fbf9484476b075f504ea97d0076623"
+
+    def test_steps_match_reference_on_sparse_graphs(self):
+        for g, (_, steps) in sparse_traces():
+            for st in steps:
+                assert tuple(st) == naive_step(g, st.s, st.c)
+
+    def test_walk_stops_at_saturation_time(self, monkeypatch):
+        # each step walks the lex run from s for exactly t steps, not the
+        # whole list; most steps saturate well before the run ends
+        walk = reconnection._walk
+        walked = []
+
+        def counted(*args):
+            walked.append(0)
+            for item in walk(*args):
+                walked[-1] += 1
+                yield item
+
+        monkeypatch.setattr(reconnection, "_walk", counted)
+        early = 0
+        for g, (_, steps) in sparse_traces():
+            for st in steps:
+                walked.clear()
+                assert improve_component(g, st.s, st.c) == st
+                assert walked == [st.t]
+                early += st.t < (g.full_mask & ~st.s).bit_count()
+        assert early > 100

@@ -271,6 +271,8 @@ def make_chronology(g: Graph, initial: int, steps: Iterable[Iterable[Force]],
 def check_chronology(g: Graph, chron: Chronology) -> None:
     """Raise ChronologyError unless every step is a nonempty set of forces
     valid at its own time with pairwise distinct targets."""
+    if chron.initial & ~g.full_mask:
+        raise ChronologyError("blue set mentions vertices outside the graph")
     state = ColorState(chron.initial, 0)
     for i, step in enumerate(chron.steps):
         try:

@@ -91,7 +91,7 @@ def improve_component(g: Graph, s: int, c: int) -> "ReconnectionStep | Minimalit
     white = g.full_mask & ~s
     if reach(g.adj, c & -c, white) != c:
         raise ValueError("c is not a component of g - s")
-    if len(components(g, white)) < 2:
+    if c == white:  # c is a component of g - s, so it is the only one
         raise ValueError("g - s is already connected")
     return _improve(g, s, c)
 
@@ -100,19 +100,18 @@ def _improve(g: Graph, s: int, c: int) -> "ReconnectionStep | MinimalityRefutati
     """improve_component past its checks."""
     s0 = boundary_set(g, s, c)
     x = find_pivot(g, s, c)
-    # f is the lex psd list from s walked only up to step t: its first t
-    # steps do not depend on what comes after them
+    # f is the lex psd list from s cut at the step that leaves N[x] blue or
+    # inside c, so t is its length; no later step changes its first t steps
     unsaturated = (g.adj[x] | 1 << x) & ~(s | c)
-
-    def pick(valid):
-        nonlocal unsaturated
-        step = _least(valid) if unsaturated else []
-        for _, w in step:
-            unsaturated &= ~(1 << w)
-        return step
-    f = Chronology(s, tuple(frozenset(step) for step, _ in
-                            _walk(g.adj, s, g.full_mask, True, pick)), Rule.PSD)
-    t = first_saturation_time(g, f, x, c)
+    steps = []
+    if unsaturated:
+        for step, _ in _walk(g.adj, s, g.full_mask, True, _least):
+            steps.append(frozenset(step))
+            unsaturated &= ~(1 << step[0].target)
+            if not unsaturated:
+                break
+    f = Chronology(s, tuple(steps), Rule.PSD)
+    t = f.tau
 
     if t == 0:
         # every neighbor of x is already in s or c, yet x also sees past the

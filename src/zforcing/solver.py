@@ -77,9 +77,7 @@ def _forcing_sets_of_size(adj: tuple[int, ...], n: int, k: int,
     Candidates inside a failed closure of their prefix, and candidates that
     cannot make a first force, are skipped; see the module docstring."""
     full = (1 << n) - 1
-    if not k:  # the empty set forces the empty graph only
-        if not full:
-            yield 0, 1
+    if not k:  # the empty set forces the empty graph only, and a Graph has n >= 1
         return
     before = 0  # size-k sets of earlier prefixes
     for prefix in itertools.combinations(range(n - 1), k - 1):

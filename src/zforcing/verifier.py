@@ -14,7 +14,8 @@ classes, since no other class is checked, and takes n up to 9; the other
 modes take n up to 7, corollary up to 6. Failure lists carry graph6
 strings in stream order: input order for run_corpus, one canonical
 representative per class, in canonical-key order, for
-run_corpus_enumerated.
+run_corpus_enumerated. Corollary mode decides each induced subgraph as
+theorem mode decides a graph.
 """
 from __future__ import annotations
 
@@ -102,17 +103,12 @@ def mirror_check(g: Graph, s: int) -> MirrorReport:
 
 
 def is_zz_perfect_direct(g: Graph) -> bool:
-    """Equal forcing numbers on every nonempty induced subgraph, checked
-    head-on. Exponential in n, so capped at n <= 6."""
+    """Equal forcing numbers on every nonempty induced subgraph, each
+    decided as in theorem mode. Exponential in n, so capped at n <= 6."""
     if g.n > 6:
         raise ValueError("direct perfection check supports n <= 6 only")
-    for smask in range(1, g.full_mask + 1):
-        sub, _ = induced_subgraph(g, smask)
-        z = _search_min(sub.adj, sub.n, Rule.STANDARD)[0]
-        zp = _search_min(sub.adj, sub.n, Rule.PSD)[0]
-        if z != zp:
-            return False
-    return True
+    return not any(_numbers_differ(induced_subgraph(g, smask)[0])
+                   for smask in range(1, g.full_mask + 1))
 
 
 def _examine_one(g: Graph, weight: int, mode: str, summary: CorpusSummary) -> None:

@@ -172,14 +172,18 @@ except AssertionError as exc:
         assert result.startswith("AssertionError:")
 
     def test_reconnection_step_check_survives_optimize(self):
-        # the graph of test_wrong_saturation_time_raises with the saturation
-        # time patched one step early: x cannot force w* there, and the
-        # check must still fire under python -O
+        # the graph of test_wrong_saturation_time_raises with its walk ended
+        # one step early: x cannot force w* there, and the check must still
+        # fire under python -O
         script = """
 import sys
 from zforcing import from_edge_list, improve_component, mask_of, reconnection
 g = from_edge_list(5, [(0, 1), (0, 2), (0, 4), (1, 2), (1, 3)])
-reconnection.first_saturation_time = lambda *args: 2
+least, calls = reconnection._least, []
+def short(valid):
+    calls.append(0)
+    return least(valid) if len(calls) < 3 else []
+reconnection._least = short
 print(sys.flags.optimize)
 try:
     print(improve_component(g, mask_of([0, 3]), mask_of([4])))

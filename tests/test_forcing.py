@@ -318,6 +318,16 @@ class TestChronologyConstruction:
             make_chronology(two_diamonds, B0, steps, Rule.PSD)
         assert info.value.step == 1
 
+    def test_make_rejects_initial_outside_graph(self):
+        # checked before any step, so a chronology with no steps is refused too
+        g = path_graph(4)
+        for initial in (1 << 9, -1):
+            for steps in ([], [[Force(0, 1)]]):
+                with pytest.raises(ChronologyError,
+                                   match="^blue set mentions vertices outside the graph$") as info:
+                    make_chronology(g, initial, steps, Rule.PSD)
+                assert info.value.step is None
+
     def test_relaxed_schedules_all_end_at_closure(self):
         # arbitrary nonempty random subsets of the valid forces each step
         rng = random.Random(20260822)

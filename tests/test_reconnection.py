@@ -168,15 +168,23 @@ class TestImproveComponent:
 
     def test_wrong_saturation_time_raises(self, monkeypatch):
         # triangle 0-1-2 with a pendant 3 on 1 and 4 on 0: from s = {0, 3}
-        # and c = {4}, x = 0 saturates at t = 3. One step early, step t's
-        # target is 1, and 0 -> 1 is not a valid force then, since 0 sees 1
-        # and 2 in one white component
+        # and c = {4}, x = 0 saturates at t = 3. A lex pick that gives out
+        # after two forces ends the walk one step early: step t's target is
+        # then 1, and 0 -> 1 is not a valid force, since 0 sees 1 and 2 in
+        # one white component
         g = from_edge_list(5, [(0, 1), (0, 2), (0, 4), (1, 2), (1, 3)])
         s, c = mask_of([0, 3]), mask_of([4])
         assert improve_component(g, s, c).t == 3
-        monkeypatch.setattr(reconnection, "first_saturation_time", lambda *args: 2)
+        least, calls = reconnection._least, []
+
+        def short(valid):
+            calls.append(0)
+            return least(valid) if len(calls) < 3 else []
+
+        monkeypatch.setattr(reconnection, "_least", short)
         with pytest.raises(AssertionError, match=r"x must force w\* at step t"):
             improve_component(g, s, c)
+        assert len(calls) == 3
 
     def _check_step(self, g, s, c, step):
         assert isinstance(step, ReconnectionStep)
@@ -288,6 +296,15 @@ class TestConnectedComplement:
         for g, (_, steps) in sparse_traces():
             for st in steps:
                 assert tuple(st) == naive_step(g, st.s, st.c)
+
+    def test_saturation_time_is_walk_length(self, monkeypatch):
+        # the step reads t off its own walk and never searches for it again
+        def refuse(*args):
+            raise AssertionError("first_saturation_time called")
+
+        monkeypatch.setattr(reconnection, "first_saturation_time", refuse)
+        for g, trace in sparse_traces():
+            assert connected_complement_trace(g) == trace
 
     def test_walk_stops_at_saturation_time(self, monkeypatch):
         # each step walks the lex run from s for exactly t steps, not the

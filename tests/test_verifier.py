@@ -12,6 +12,7 @@ from zforcing import (
     cycle_graph,
     enumerate_graphs,
     from_edge_list,
+    induced_subgraph,
     is_zz_perfect_direct,
     mask_of,
     mirror_check,
@@ -101,6 +102,20 @@ class TestPerfection:
     def test_size_cap(self):
         with pytest.raises(ValueError):
             is_zz_perfect_direct(path_graph(7))
+
+    def test_matches_naive_on_every_class(self):
+        # every induced subgraph solved by brute force under both rules,
+        # disconnected subgraphs and ones with claws included
+        perfect = classes = 0
+        for n in range(1, 6):
+            for g, _ in _graph_classes(n):
+                classes += 1
+                subs = (induced_subgraph(g, smask)[0] for smask in range(1, g.full_mask + 1))
+                expected = all(naive_forcing_number(h, "standard") == naive_forcing_number(h, "psd")
+                               for h in subs)
+                assert is_zz_perfect_direct(g) == expected
+                perfect += expected
+        assert 0 < perfect < classes
 
 
 class TestRunCorpus:

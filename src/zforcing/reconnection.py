@@ -55,7 +55,11 @@ def find_pivot(g: Graph, s: int, c: int) -> int:
     """Least boundary vertex of c that is also adjacent to a vertex outside
     the boundary and outside c. One exists whenever g is connected and
     g - s has another component besides c."""
-    s0 = boundary_set(g, s, c)
+    return _pivot(g, boundary_set(g, s, c), c)
+
+
+def _pivot(g: Graph, s0: int, c: int) -> int:
+    """find_pivot for a caller that already has the boundary set s0."""
     outside = g.full_mask & ~(s0 | c)
     for x in bits(s0):
         if g.adj[x] & outside:
@@ -99,7 +103,7 @@ def improve_component(g: Graph, s: int, c: int) -> "ReconnectionStep | Minimalit
 def _improve(g: Graph, s: int, c: int) -> "ReconnectionStep | MinimalityRefutation":
     """improve_component past its checks."""
     s0 = boundary_set(g, s, c)
-    x = find_pivot(g, s, c)
+    x = _pivot(g, s0, c)
     # f is the lex psd list from s cut at the step that leaves N[x] blue or
     # inside c, so t is its length; no later step changes its first t steps
     unsaturated = (g.adj[x] | 1 << x) & ~(s | c)

@@ -2,12 +2,18 @@
 
 Within one size k, candidate sets are tried in lexicographic order, and
 the first whose closure colors everything is that size's witness. The
-scan walks each (k - 1)-prefix P with every last vertex v > max(P). A
-later P + v' with v' inside a failed closure cl(P + v) lies inside that
-closed set, so it cannot force and is skipped without a closure. This
+scan walks each (k - 1)-prefix P with every last vertex v > max(P). The
+complement of a failed closure cl(T) is a fort: a set S that misses it
+lies inside cl(T), so cl(S) is inside cl(T) and S does not force. This
 holds under both rules: their closures are monotone and idempotent, since
 a valid force stays valid when more vertices are blue, unless its target
-is one of them.
+is one of them. One search, for one graph and rule, keeps its forts in
+a list across all its sizes. Each prefix P keeps only the last vertices
+inside every stored fort that P misses, and is skipped if none is left.
+A failed closure adds its fort and drops the stored forts that contain
+it; it contains none, since the candidate meets each. A standard fort
+need not bind psd sets, so each rule, and each search from a known size,
+starts a fresh list.
 
 A candidate P + v that cannot make a first force is its own closure, so
 it is dropped with bit tests and no closure, unless it is the whole
@@ -70,12 +76,13 @@ class SolverReport(NamedTuple):
     elapsed_ms: float
 
 
-def _forcing_sets_of_size(adj: tuple[int, ...], n: int, k: int,
-                          psd: bool) -> Iterator[tuple[int, int]]:
+def _forcing_sets_of_size(adj: tuple[int, ...], n: int, k: int, psd: bool,
+                          forts: list[int]) -> Iterator[tuple[int, int]]:
     """Yield (forcing set, 1-based lex position among the size-k sets) for
     every size-k forcing set of one whole graph, in lexicographic order.
-    Candidates inside a failed closure of their prefix, and candidates that
-    cannot make a first force, are skipped; see the module docstring."""
+    Candidates that miss a fort in forts, and candidates that cannot make a
+    first force, are skipped; each failed closure adds its fort to forts.
+    See the module docstring."""
     full = (1 << n) - 1
     if not k:  # the empty set forces the empty graph only, and a Graph has n >= 1
         return
@@ -83,6 +90,13 @@ def _forcing_sets_of_size(adj: tuple[int, ...], n: int, k: int,
     for prefix in itertools.combinations(range(n - 1), k - 1):
         start = prefix[-1] + 1 if prefix else 0
         base = mask_of(prefix)
+        rest = full >> start << start
+        for fort in forts:
+            if not fort & base:
+                rest &= fort
+        before += n - start
+        if not rest:
+            continue
         white = full ^ base
         ones = twos = 0  # prefix vertices' lone white neighbours and white pairs
         for u in prefix:
@@ -91,7 +105,6 @@ def _forcing_sets_of_size(adj: tuple[int, ...], n: int, k: int,
                 ones |= inter
             elif inter.bit_count() == 2:
                 twos |= inter
-        rest = full >> start << start
         while rest:
             low = rest & -rest
             if not (ones & ~low or twos & low
@@ -104,17 +117,20 @@ def _forcing_sets_of_size(adj: tuple[int, ...], n: int, k: int,
                     continue
             closed = _close(adj, base | low, full, psd)
             if closed == full:
-                yield base | low, before + low.bit_length() - start
+                yield base | low, before - n + low.bit_length()
                 rest ^= low
             else:
-                rest &= ~closed
-        before += n - start
+                fort = full ^ closed  # contains no stored fort: the candidate meets each
+                forts[:] = [f for f in forts if fort & ~f]
+                forts.append(fort)
+                rest &= fort
 
 
-def _first_of_size(adj: tuple[int, ...], n: int, k: int, psd: bool) -> tuple[int, int]:
+def _first_of_size(adj: tuple[int, ...], n: int, k: int, psd: bool,
+                   forts: list[int]) -> tuple[int, int]:
     """(lex-least forcing set of size k, or 0 if there is none; candidates
-    tested) for one whole graph."""
-    return next(_forcing_sets_of_size(adj, n, k, psd), (0, math.comb(n, k)))
+    tested) for one whole graph, sharing forts with the caller's search."""
+    return next(_forcing_sets_of_size(adj, n, k, psd, forts), (0, math.comb(n, k)))
 
 
 def _search_min(adj: tuple[int, ...], n: int, rule: Rule
@@ -123,9 +139,10 @@ def _search_min(adj: tuple[int, ...], n: int, rule: Rule
     the search did not compute it) for one whole graph, in the size order
     the module docstring gives."""
     psd = rule is Rule.PSD
+    forts: list[int] = []  # every size's failed closures prune every later size
     lo = max(min(map(int.bit_count, adj)) - 1, 0)
     for k in range(lo + 1, min(n, 2) + 1):
-        witness, t = _first_of_size(adj, n, k, psd)
+        witness, t = _first_of_size(adj, n, k, psd, forts)
         if witness:
             return k, witness, _below(n, k) + t, None
     z, witness, t = n, (1 << n) - 1, 1  # the full vertex set always forces
@@ -134,7 +151,7 @@ def _search_min(adj: tuple[int, ...], n: int, rule: Rule
         bound = _treewidth_bound(adj)
         stop = max(bound - 1, 2)
     for k in range(n - 1, stop, -1):
-        found, pos = _first_of_size(adj, n, k, psd)
+        found, pos = _first_of_size(adj, n, k, psd, forts)
         if not found:
             break
         z, witness, t = k, found, pos
@@ -153,7 +170,7 @@ def _numbers_differ(g: Graph) -> bool:
         return True
     if z <= (_treewidth_bound(g.adj) if bound is None else bound):
         return False
-    return bool(_first_of_size(g.adj, g.n, z - 1, True)[0])
+    return bool(_first_of_size(g.adj, g.n, z - 1, True, [])[0])
 
 
 def _treewidth_bound(adj: tuple[int, ...]) -> int:
@@ -222,5 +239,5 @@ def all_minimum_sets(g: Graph, rule: "Rule | str", cap: int = 1000) -> list[int]
 
 def _minimum_sets(g: Graph, rule: Rule, z: int, cap: int) -> list[int]:
     """all_minimum_sets for a caller that already knows Z and checked cap."""
-    found = _forcing_sets_of_size(g.adj, g.n, z, rule is Rule.PSD)
+    found = _forcing_sets_of_size(g.adj, g.n, z, rule is Rule.PSD, [])
     return [blue for blue, _ in itertools.islice(found, cap)]

@@ -14,15 +14,15 @@ classes, since no other class is checked, and takes n up to 9; the other
 modes take n up to 7, corollary up to 6. Failure lists carry graph6
 strings in stream order: input order for run_corpus, one canonical
 representative per class, in canonical-key order, for
-run_corpus_enumerated. Corollary mode decides each induced subgraph as
-theorem mode decides a graph.
+run_corpus_enumerated. Corollary mode decides each connected induced
+subgraph as theorem mode decides a graph.
 """
 from __future__ import annotations
 
 from types import SimpleNamespace
 from typing import NamedTuple
 
-from .graphs import Graph, induced_subgraph, is_claw_free, is_connected, to_graph6
+from .graphs import Graph, induced_subgraph, is_claw_free, is_connected, reach, to_graph6
 from .forcing import Force, Rule, _close, _least, _walk
 from .solver import _numbers_differ, _search_min, forcing_number
 from .documents import MODES
@@ -104,11 +104,16 @@ def mirror_check(g: Graph, s: int) -> MirrorReport:
 
 def is_zz_perfect_direct(g: Graph) -> bool:
     """Equal forcing numbers on every nonempty induced subgraph, each
-    decided as in theorem mode. Exponential in n, so capped at n <= 6."""
+    decided as in theorem mode. Only connected ones are decided: Z and Z+
+    both add over components and Z+ <= Z on each, so a disconnected H has
+    Z(H) != Z+(H) exactly when one of its components does, and each
+    component is itself a connected induced subgraph. Exponential in n, so
+    capped at n <= 6."""
     if g.n > 6:
         raise ValueError("direct perfection check supports n <= 6 only")
     return not any(_numbers_differ(induced_subgraph(g, smask)[0])
-                   for smask in range(1, g.full_mask + 1))
+                   for smask in range(1, g.full_mask + 1)
+                   if reach(g.adj, smask & -smask, smask) == smask)
 
 
 def _examine_one(g: Graph, weight: int, mode: str, summary: CorpusSummary) -> None:

@@ -306,6 +306,16 @@ class TestConnectedComplement:
         for g, trace in sparse_traces():
             assert connected_complement_trace(g) == trace
 
+    def test_boundary_set_once_per_step(self, monkeypatch):
+        calls = []
+        real = reconnection.boundary_set
+        monkeypatch.setattr(reconnection, "boundary_set",
+                            lambda *args: calls.append(args) or real(*args))
+        for g, trace in sparse_traces():
+            calls.clear()
+            assert connected_complement_trace(g) == trace
+            assert len(calls) == len(trace[1])
+
     def test_walk_stops_at_saturation_time(self, monkeypatch):
         # each step walks the lex run from s for exactly t steps, not the
         # whole list; most steps saturate well before the run ends

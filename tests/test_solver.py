@@ -169,8 +169,9 @@ def _trees_and_unicyclic(seed, sizes, per_size):
 
 
 class TestPrunedScan:
-    """The lex scan skips candidates inside a failed closure of their
-    prefix; value, witness, tested and the minimum sets must not change."""
+    """The lex scan skips candidates that miss a fort, the complement of a
+    failed closure of the same search; value, witness, tested and the
+    minimum sets must not change."""
 
     @pytest.mark.parametrize("rule, sizes, per_size",
                              [(Rule.PSD, range(12, 21), 1),
@@ -197,6 +198,29 @@ class TestPrunedScan:
         assert (report.value, report.witness, report.tested) == (2, mask_of([0, 5]), 15)
         assert len(calls) < report.tested
 
+    def test_no_closure_inside_an_earlier_failed_closure(self, monkeypatch):
+        # such a candidate misses that closure's fort; the fort list spans
+        # all the sizes of one search, so failed resets per search only
+        close = solver._close
+        failed = []
+
+        def pinned(adj, blue, full, psd):
+            assert not any(blue & ~closed == 0 for closed in failed), blue
+            closed = close(adj, blue, full, psd)
+            if closed != full:
+                failed.append(closed)
+            return closed
+
+        monkeypatch.setattr(solver, "_close", pinned)
+        forts = 0
+        for g in _random_connected(11, 16, range(9, 12), (0.3, 0.7)):
+            for rule in Rule:
+                failed.clear()
+                k, combo, tried = naive_search(g, rule.value)
+                assert _search_min(g.adj, g.n, rule)[:3] == (k, mask_of(combo), tried)
+                forts += len(failed)
+        assert forts > 100
+
 
 def _reference_scan(g, k, rule):
     """Every size-k forcing set with its 1-based lex position, closing
@@ -217,13 +241,21 @@ def _can_start(g, blue, psd):
 
 class TestFirstForceFilter:
     """The lex scan drops, without a closure, every candidate that cannot
-    make a first force; its stream of forcing sets and positions must be
-    that of a scan that closes every candidate."""
+    make a first force or misses a stored fort; its stream of forcing sets
+    and positions must be that of a scan that closes every candidate."""
 
     def _check(self, g, rule):
-        for k in range(g.n + 1):
-            got = list(solver._forcing_sets_of_size(g.adj, g.n, k, rule is Rule.PSD))
-            assert got == _reference_scan(g, k, rule), (g, k, rule)
+        # one fort list across all sizes, descending as the search runs
+        # them from n - 1, then ascending, where closures grow and stored
+        # forts get dropped
+        for sizes in (range(g.n, -1, -1), range(g.n + 1)):
+            forts = []
+            for k in sizes:
+                got = list(solver._forcing_sets_of_size(g.adj, g.n, k, rule is Rule.PSD,
+                                                        forts))
+                assert got == _reference_scan(g, k, rule), (g, k, rule)
+                # no stored fort contains another
+                assert all(f & ~h and h & ~f for f, h in itertools.combinations(forts, 2))
 
     @pytest.mark.parametrize("rule", list(Rule), ids=lambda r: r.value)
     def test_matches_unfiltered_scan_on_classes(self, rule):
@@ -234,7 +266,7 @@ class TestFirstForceFilter:
     def test_whole_vertex_set_is_never_skipped(self):
         k1 = from_edge_list(1, [])
         for rule in Rule:
-            assert list(solver._forcing_sets_of_size(k1.adj, 1, 1, rule is Rule.PSD)) \
+            assert list(solver._forcing_sets_of_size(k1.adj, 1, 1, rule is Rule.PSD, [])) \
                 == [(1, 1)]
 
     def test_disconnected_white_set_under_psd(self):

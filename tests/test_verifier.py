@@ -13,6 +13,8 @@ from zforcing import (
     enumerate_graphs,
     from_edge_list,
     induced_subgraph,
+    is_claw_free,
+    is_connected,
     is_zz_perfect_direct,
     mask_of,
     mirror_check,
@@ -116,6 +118,20 @@ class TestPerfection:
                 assert is_zz_perfect_direct(g) == expected
                 perfect += expected
         assert 0 < perfect < classes
+
+    def test_decides_connected_subgraphs_only(self, monkeypatch):
+        # a disconnected subgraph differs exactly when a component does, and
+        # the corollary (perfect iff claw-free) holds for every class here
+        decide = verifier._numbers_differ
+
+        def connected_only(h):
+            assert is_connected(h), h
+            return decide(h)
+
+        monkeypatch.setattr(verifier, "_numbers_differ", connected_only)
+        for n in range(1, 7):
+            for g, _ in _graph_classes(n):
+                assert is_zz_perfect_direct(g) == is_claw_free(g)
 
 
 class TestRunCorpus:

@@ -42,6 +42,10 @@ Sizes are visited in this order:
   for graphs with 10 edges or more: only b >= 4 moves the stop, and a
   minor of min degree 4 has at least 10 edges.
 
+`_search_min` returns the bound it used with the size and witness: the
+min degree when sizes up to 2 end the search or the graph has fewer than
+10 edges, b otherwise. Either is at most tw(G) <= Z+(G).
+
 tw(G) <= Z+(G): let S psd-force G and W be a component of G - S. The first
 force into W is some u -> w with N(u) & W = {w}. Each component of W - w is
 forced from S - u + w, so by induction on |W| it has a decomposition of
@@ -50,11 +54,12 @@ A bag S joins these for every W. Deleting a vertex or contracting an edge
 never raises tree-width, and min degree <= tree-width.
 
 Either way the witness is the lexicographically least minimum set.
-`tested` is the number of candidates a size-ascending search would have
-tried: every set of size 1 .. Z - 1, plus the witness's 1-based position
-among the size-Z sets, skipped candidates included. It depends on the
-graph and the rule only. Disconnected inputs are solved per component
-and summed.
+`tested` is the witness's 1-based rank among the nonempty vertex sets in
+size-then-lex order, computed from the witness alone by `_tested`: the
+number of candidates a size-ascending search would have tried, skipped
+candidates included. It depends on the graph and the rule only.
+Disconnected inputs are solved per component, and values and `tested`
+are summed.
 """
 from __future__ import annotations
 
@@ -77,16 +82,14 @@ class SolverReport(NamedTuple):
 
 
 def _forcing_sets_of_size(adj: tuple[int, ...], n: int, k: int, psd: bool,
-                          forts: list[int]) -> Iterator[tuple[int, int]]:
-    """Yield (forcing set, 1-based lex position among the size-k sets) for
-    every size-k forcing set of one whole graph, in lexicographic order.
-    Candidates that miss a fort in forts, and candidates that cannot make a
-    first force, are skipped; each failed closure adds its fort to forts.
-    See the module docstring."""
+                          forts: list[int]) -> Iterator[int]:
+    """Yield every size-k forcing set of one whole graph, in lexicographic
+    order. Candidates that miss a fort in forts, and candidates that cannot
+    make a first force, are skipped; each failed closure adds its fort to
+    forts. See the module docstring."""
     full = (1 << n) - 1
     if not k:  # the empty set forces the empty graph only, and a Graph has n >= 1
         return
-    before = 0  # size-k sets of earlier prefixes
     for prefix in itertools.combinations(range(n - 1), k - 1):
         start = prefix[-1] + 1 if prefix else 0
         base = mask_of(prefix)
@@ -94,7 +97,6 @@ def _forcing_sets_of_size(adj: tuple[int, ...], n: int, k: int, psd: bool,
         for fort in forts:
             if not fort & base:
                 rest &= fort
-        before += n - start
         if not rest:
             continue
         white = full ^ base
@@ -117,7 +119,7 @@ def _forcing_sets_of_size(adj: tuple[int, ...], n: int, k: int, psd: bool,
                     continue
             closed = _close(adj, base | low, full, psd)
             if closed == full:
-                yield base | low, before - n + low.bit_length()
+                yield base | low
                 rest ^= low
             else:
                 fort = full ^ closed  # contains no stored fort: the candidate meets each
@@ -126,36 +128,26 @@ def _forcing_sets_of_size(adj: tuple[int, ...], n: int, k: int, psd: bool,
                 rest &= fort
 
 
-def _first_of_size(adj: tuple[int, ...], n: int, k: int, psd: bool,
-                   forts: list[int]) -> tuple[int, int]:
-    """(lex-least forcing set of size k, or 0 if there is none; candidates
-    tested) for one whole graph, sharing forts with the caller's search."""
-    return next(_forcing_sets_of_size(adj, n, k, psd, forts), (0, math.comb(n, k)))
-
-
-def _search_min(adj: tuple[int, ...], n: int, rule: Rule
-                ) -> tuple[int, int, int, int | None]:
-    """(size, witness mask, candidates tested, tree-width bound or None if
-    the search did not compute it) for one whole graph, in the size order
-    the module docstring gives."""
+def _search_min(adj: tuple[int, ...], n: int, rule: Rule) -> tuple[int, int, int]:
+    """(size, witness mask, tree-width lower bound) for one whole graph, in
+    the size order the module docstring gives; the bound is the one the
+    search used."""
     psd = rule is Rule.PSD
     forts: list[int] = []  # every size's failed closures prune every later size
-    lo = max(min(map(int.bit_count, adj)) - 1, 0)
-    for k in range(lo + 1, min(n, 2) + 1):
-        witness, t = _first_of_size(adj, n, k, psd, forts)
+    bound = min(map(int.bit_count, adj))
+    for k in range(max(bound, 1), min(n, 2) + 1):
+        witness = next(_forcing_sets_of_size(adj, n, k, psd, forts), 0)
         if witness:
-            return k, witness, _below(n, k) + t, None
-    z, witness, t = n, (1 << n) - 1, 1  # the full vertex set always forces
-    stop, bound = 2, None
+            return k, witness, bound
+    z, witness = n, (1 << n) - 1  # the full vertex set always forces
     if sum(map(int.bit_count, adj)) >= 20:  # b < 4 leaves the stop at 2; see above
         bound = _treewidth_bound(adj)
-        stop = max(bound - 1, 2)
-    for k in range(n - 1, stop, -1):
-        found, pos = _first_of_size(adj, n, k, psd, forts)
+    for k in range(n - 1, max(bound - 1, 2), -1):
+        found = next(_forcing_sets_of_size(adj, n, k, psd, forts), 0)
         if not found:
             break
-        z, witness, t = k, found, pos
-    return z, witness, _below(n, z) + t, bound
+        z, witness = k, found
+    return z, witness, bound
 
 
 def _numbers_differ(g: Graph) -> bool:
@@ -165,12 +157,10 @@ def _numbers_differ(g: Graph) -> bool:
     unless Z+ > Z. A superset of a psd forcing set is one too, so Z+ < Z
     exactly when some set of size Z - 1 psd-forces; none does when Z is at
     most the tree-width bound, since that is at most Z+."""
-    z, witness, _, bound = _search_min(g.adj, g.n, Rule.STANDARD)
+    z, witness, bound = _search_min(g.adj, g.n, Rule.STANDARD)
     if _close(g.adj, witness, g.full_mask, True) != g.full_mask:
         return True
-    if z <= (_treewidth_bound(g.adj) if bound is None else bound):
-        return False
-    return bool(_first_of_size(g.adj, g.n, z - 1, True, [])[0])
+    return z > bound and any(_forcing_sets_of_size(g.adj, g.n, z - 1, True, []))
 
 
 def _treewidth_bound(adj: tuple[int, ...]) -> int:
@@ -199,9 +189,14 @@ def _treewidth_bound(adj: tuple[int, ...]) -> int:
     return best
 
 
-def _below(n: int, k: int) -> int:
-    """Nonempty candidate sets of size below k."""
-    return sum(math.comb(n, j) for j in range(1, k))
+def _tested(n: int, witness: int) -> int:
+    """The witness's 1-based position among the nonempty subsets of n
+    vertices in size-then-lex order. With its vertices v_0 < ... < v_{k-1},
+    C(n - 1 - v_i, k - i) size-k sets come after it by sharing v_0 .. v_{i-1}
+    and having a larger vertex than v_i next."""
+    k = witness.bit_count()
+    return (sum(math.comb(n, j) for j in range(1, k + 1))
+            - sum(math.comb(n - 1 - v, k - i) for i, v in enumerate(bits(witness))))
 
 
 def forcing_number(g: Graph, rule: "Rule | str") -> SolverReport:
@@ -212,17 +207,18 @@ def forcing_number(g: Graph, rule: "Rule | str") -> SolverReport:
     start = time.perf_counter()
     comps = components(g, g.full_mask)
     if len(comps) == 1:
-        value, witness, tested, _ = _search_min(g.adj, g.n, rule)
+        value, witness, _ = _search_min(g.adj, g.n, rule)
+        tested = _tested(g.n, witness)
     else:
         value = 0
         witness = 0
         tested = 0
         for comp in comps:
             sub, index = induced_subgraph(g, comp)
-            k, wit, t, _ = _search_min(sub.adj, sub.n, rule)
+            k, wit, _ = _search_min(sub.adj, sub.n, rule)
             back = {new: old for old, new in index.items()}
             value += k
-            tested += t
+            tested += _tested(sub.n, wit)
             for v in bits(wit):
                 witness |= 1 << back[v]
     elapsed_ms = (time.perf_counter() - start) * 1e3
@@ -238,6 +234,8 @@ def all_minimum_sets(g: Graph, rule: "Rule | str", cap: int = 1000) -> list[int]
 
 
 def _minimum_sets(g: Graph, rule: Rule, z: int, cap: int) -> list[int]:
-    """all_minimum_sets for a caller that already knows Z and checked cap."""
+    """all_minimum_sets for a caller that already knows Z and checked cap.
+    There are at most C(n, Z) <= C(64, 32) minimum sets, so a larger cap
+    reads them all, and the stop stays below sys.maxsize, as islice needs."""
     found = _forcing_sets_of_size(g.adj, g.n, z, rule is Rule.PSD, [])
-    return [blue for blue, _ in itertools.islice(found, cap)]
+    return list(itertools.islice(found, min(cap, math.comb(g.n, z))))

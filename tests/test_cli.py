@@ -82,6 +82,13 @@ class TestSolve:
         assert len(doc["minimum_sets"]) == 5
         assert doc["minimum_sets"][0] == [1, 2, 6]
 
+    def test_cap_above_sys_maxsize(self, capsys):
+        _, capped, _ = run_cli(capsys, ["solve", "--graph6", "A_", "--cap", "1000"])
+        code, doc, err = run_cli(capsys, ["solve", "--graph6", "A_",
+                                          "--cap", "99999999999999999999"])
+        assert (code, err) == (0, "")
+        assert doc["minimum_sets"] == capped["minimum_sets"] == [[1], [2]]
+
     def test_cap_searches_once(self, capsys, monkeypatch):
         calls = []
         search = solver._search_min

@@ -33,6 +33,12 @@ def _as_naive(report):
     return report.value, tuple(bits(report.witness)), report.tested
 
 
+def _search(g, rule):
+    """(value, witness, tested) of the search on one whole graph."""
+    k, witness, _ = _search_min(g.adj, g.n, rule)
+    return k, witness, solver._tested(g.n, witness)
+
+
 class TestForcingNumber:
     def test_two_diamonds_both_rules(self, two_diamonds):
         for rule in Rule:
@@ -112,7 +118,7 @@ class TestSearchOrder:
             for g, _ in _graph_classes(n):
                 for rule in Rule:
                     k, combo, tried = naive_search(g, rule.value)
-                    assert _search_min(g.adj, g.n, rule)[:3] == (k, mask_of(combo), tried)
+                    assert _search(g, rule) == (k, mask_of(combo), tried)
                     assert _as_naive(forcing_number(g, rule)) == \
                         naive_search_by_component(g, rule.value)
 
@@ -133,6 +139,13 @@ class TestSearchOrder:
             assert report.value == k1 + k2
             assert report.witness == mask_of(combo1) | mask_of(combo2) << 5
             assert report.tested == t1 + t2
+
+    def test_tested_is_the_size_then_lex_rank(self):
+        for n in range(1, 9):
+            order = itertools.chain.from_iterable(
+                itertools.combinations(range(n), k) for k in range(1, n + 1))
+            for pos, combo in enumerate(order, 1):
+                assert solver._tested(n, mask_of(combo)) == pos, (n, combo)
 
     def test_complete_graphs_near_the_top(self):
         for n in (20, 24):
@@ -180,7 +193,7 @@ class TestPrunedScan:
     def test_matches_reference(self, rule, sizes, per_size):
         for g in _trees_and_unicyclic(9, sizes, per_size):
             k, combo, tried = naive_search(g, rule.value)
-            assert _search_min(g.adj, g.n, rule)[:3] == (k, mask_of(combo), tried)
+            assert _search(g, rule) == (k, mask_of(combo), tried)
             got = [tuple(bits(m)) for m in all_minimum_sets(g, rule)]
             assert got == naive_minimum_sets(g, rule.value)
 
@@ -217,16 +230,14 @@ class TestPrunedScan:
             for rule in Rule:
                 failed.clear()
                 k, combo, tried = naive_search(g, rule.value)
-                assert _search_min(g.adj, g.n, rule)[:3] == (k, mask_of(combo), tried)
+                assert _search(g, rule) == (k, mask_of(combo), tried)
                 forts += len(failed)
         assert forts > 100
 
 
 def _reference_scan(g, k, rule):
-    """Every size-k forcing set with its 1-based lex position, closing
-    every candidate."""
-    return [(mask_of(combo), pos) for pos, combo in
-            enumerate(itertools.combinations(range(g.n), k), 1)
+    """Every size-k forcing set in lex order, closing every candidate."""
+    return [mask_of(combo) for combo in itertools.combinations(range(g.n), k)
             if naive_is_forcing(g, set(combo), rule.value)]
 
 
@@ -242,7 +253,7 @@ def _can_start(g, blue, psd):
 class TestFirstForceFilter:
     """The lex scan drops, without a closure, every candidate that cannot
     make a first force or misses a stored fort; its stream of forcing sets
-    and positions must be that of a scan that closes every candidate."""
+    must be that of a scan that closes every candidate."""
 
     def _check(self, g, rule):
         # one fort list across all sizes, descending as the search runs
@@ -267,7 +278,7 @@ class TestFirstForceFilter:
         k1 = from_edge_list(1, [])
         for rule in Rule:
             assert list(solver._forcing_sets_of_size(k1.adj, 1, 1, rule is Rule.PSD, [])) \
-                == [(1, 1)]
+                == [1]
 
     def test_disconnected_white_set_under_psd(self):
         # two paths 1-0-2 and 4-3-5: from {0, 3} each blue vertex has two
@@ -276,7 +287,8 @@ class TestFirstForceFilter:
         g = from_edge_list(6, [(0, 1), (0, 2), (3, 4), (3, 5)])
         assert not _can_start(g, mask_of([0, 3]), False)
         assert _can_start(g, mask_of([0, 3]), True)
-        assert (mask_of([0, 3]), 3) in _reference_scan(g, 2, Rule.PSD)
+        assert mask_of([0, 3]) in _reference_scan(g, 2, Rule.PSD)
+        assert solver._tested(g.n, mask_of([0, 3])) == 6 + 3  # six singletons, then 01 02 03
         for rule in Rule:
             self._check(g, rule)
 
@@ -333,6 +345,13 @@ class TestAllMinimumSets:
             mask_of([0, 1]), mask_of([0, 2]),
         ]
 
+    def test_cap_above_the_set_count_lists_all(self, two_diamonds):
+        # islice refuses a stop above sys.maxsize; C(n, Z) bounds the list
+        for rule in Rule:
+            assert all_minimum_sets(two_diamonds, rule, cap=10**20) \
+                == all_minimum_sets(two_diamonds, rule)
+        assert len(all_minimum_sets(two_diamonds, Rule.PSD, cap=10**20)) == 20
+
     def test_cap_validated(self, two_diamonds):
         with pytest.raises(ValueError):
             all_minimum_sets(two_diamonds, Rule.PSD, cap=0)
@@ -369,6 +388,20 @@ class TestTreewidthBound:
                 assert bound <= naive_forcing_number(g, "psd") \
                     <= naive_forcing_number(g, "standard")
 
+    def test_returned_bound_on_classes(self):
+        # the min degree where sizes 1-2 end the search or edges are few
+        by_min_degree = 0
+        for n in range(1, 7):
+            for g, _ in _graph_classes(n):
+                for rule in Rule:
+                    k, _, bound = _search_min(g.adj, g.n, rule)
+                    assert type(bound) is int
+                    assert bound <= naive_forcing_number(g, "psd")
+                    if k <= 2 or sum(map(int.bit_count, g.adj)) < 20:
+                        assert bound == min(map(int.bit_count, g.adj))
+                        by_min_degree += k <= 2
+        assert by_min_degree > 100
+
     def test_known_values(self):
         assert solver._treewidth_bound(from_edge_list(1, []).adj) == 0
         assert solver._treewidth_bound(path_graph(6).adj) == 1
@@ -384,7 +417,7 @@ class TestTreewidthBound:
         for g in graphs_:
             for rule in Rule:
                 k, combo, tried = naive_search(g, rule.value)
-                assert _search_min(g.adj, g.n, rule)[:3] == (k, mask_of(combo), tried)
+                assert _search(g, rule) == (k, mask_of(combo), tried)
                 stopped += k == solver._treewidth_bound(g.adj)
         assert stopped > len(graphs_)  # the bound ends most searches
 

@@ -207,7 +207,8 @@ class TestNumbersDiffer:
         assert not verifier._numbers_differ(two_diamonds_graph())
 
     def test_tree_width_bound_found_once(self, monkeypatch):
-        # the bound the standard search found is the one the psd step reads
+        # the psd step reads the bound the standard search returned and
+        # computes none of its own
         calls = []
         real = solver._treewidth_bound
 
@@ -218,9 +219,11 @@ class TestNumbersDiffer:
         monkeypatch.setattr(solver, "_treewidth_bound", counted)
         for g in (complete_graph(7), cycle_graph(7)) + tuple(g for g, _ in _graph_classes(6)):
             calls.clear()
+            solver._search_min(g.adj, g.n, solver.Rule.STANDARD)
+            searched = len(calls)
             verifier._numbers_differ(g)
-            assert len(calls) <= 1
-        assert solver._search_min(complete_graph(7).adj, 7, solver.Rule.STANDARD)[3] == 6
+            assert len(calls) == 2 * searched <= 2
+        assert solver._search_min(complete_graph(7).adj, 7, solver.Rule.STANDARD)[2] == 6
 
 
 class TestEnumeratedCorpus:

@@ -5,14 +5,14 @@ rule a blue vertex with exactly one white neighbor forces that neighbor.
 Under the positive semidefinite (psd) rule the white set is first split
 into the components of the subgraph it induces; a blue vertex u forces a
 white vertex w when w is u's only neighbor inside w's component. Both
-rules are one kernel over parts of the white set: the whole set under the
-standard rule, each of its components under the psd rule. `_walk` is
-the one place that keeps the parts between steps, for every walk: the
-greedy closure forces every target it can at each step, the lex and
-replayed lists one vertex per step; it splits again only the parts that
-held a vertex just forced. A chronology records the set of forces
-applied at each time step, and its expansion sequence records the blue
-set after each step.
+rules are one kernel, `_forces`, over parts of the white set: the whole
+set under the standard rule, each of its components under the psd rule.
+It is the only code that splits a white set. Every chronology comes from
+one walk, `_walk`, that hands each step's pick the kernel's stream at
+the current coloring: the greedy closure forces every target it can at
+each step, the lex and replayed lists one vertex per step. A chronology
+records the set of forces applied at each time step, and its expansion
+sequence records the blue set after each step.
 """
 from __future__ import annotations
 
@@ -85,7 +85,10 @@ def _forces(adj: Sequence[int], blue: int, white: int,
             psd: bool) -> Iterator[tuple[int, int]]:
     """Yield (source, target bit) for every valid force. White splits into
     parts, the whole set under the standard rule and each component under
-    psd; a blue vertex next to a part forces its only neighbor there."""
+    psd; a blue vertex next to a part forces its only neighbor there.
+    Sources come in ascending order within a part and each target lies in
+    one part, so a target's first source is its least; `_greedy` reads
+    that."""
     rem = white
     while rem:
         if psd:
@@ -116,53 +119,32 @@ def _close(adj: Sequence[int], blue: int, full: int, psd: bool) -> int:
         blue |= newly
 
 
-def _parts(adj: Sequence[int], blue: int, white: int,
-           psd: bool) -> list[tuple[int, list[Force]]]:
-    """The parts of the white set, each with the valid forces into it: each
-    component under psd, the whole set under the standard rule. Inside one
-    part the psd rule is the standard rule."""
-    parts = []
-    rem = white
-    while rem:
-        if psd:
-            part, near = _reach_near(adj, rem & -rem, white)
-        else:
-            part, near = white, blue
-        rem &= ~part
-        parts.append((part, [Force(u, t.bit_length() - 1)
-                             for u, t in _forces(adj, blue & near, part, False)]))
-    return parts
-
-
 def _walk(adj: Sequence[int], blue: int, full: int, psd: bool,
-          pick: Callable[[set[Force]], list[Force]]) -> Iterator[tuple[list[Force], int]]:
+          pick: Callable[[Iterator[tuple[int, int]]], list[Force]]) -> Iterator[list[Force]]:
     """Apply one step of forces, with distinct targets, at a time until
-    pick(valid forces) returns none, as it must once `full` is blue, and
-    yield each step with the number of white parts before it. No part
-    touches another's target, so only the parts that held a target are
-    split again, last first so that a split moves no part still to visit."""
-    parts = _parts(adj, blue, full & ~blue, psd)
+    pick returns none, as it must once `full` is blue, and yield each
+    step. pick reads `_forces`' stream at the current coloring."""
     while True:
-        step = pick({f for _, forces in parts for f in forces})
+        step = pick(_forces(adj, blue, full & ~blue, psd))
         if not step:
             return
-        yield step, len(parts)
-        forced = 0
+        yield step
         for _, t in step:
-            forced |= 1 << t
-        blue |= forced
-        for i in reversed(range(len(parts))):
-            if parts[i][0] & forced:
-                parts[i:i + 1] = _parts(adj, blue, parts[i][0] & ~forced, psd)
+            blue |= 1 << t
 
 
-def _least(valid: set[Force]) -> list[Force]:
-    return [min(valid)] if valid else []
+def _least(forces: Iterator[tuple[int, int]]) -> list[Force]:
+    # target bits sort as target ids do
+    least = min(forces, default=None)
+    return [] if least is None else [Force(least[0], least[1].bit_length() - 1)]
 
 
-def _greedy(valid: set[Force]) -> list[Force]:
-    """Every target once, from its least source."""
-    return list({f.target: f for f in sorted(valid, reverse=True)}.values())
+def _greedy(forces: Iterator[tuple[int, int]]) -> list[Force]:
+    """Every target once, from its least source, the first one seen."""
+    first: dict[int, int] = {}
+    for u, t in forces:
+        first.setdefault(t, u)
+    return [Force(u, t.bit_length() - 1) for t, u in first.items()]
 
 
 def valid_forces(g: Graph, blue: int, rule: "Rule | str") -> set[Force]:
@@ -180,7 +162,7 @@ def apply_step(g: Graph, state: ColorState, chosen: Iterable[Force],
     """Apply one step's worth of forces. The chosen set must be a nonempty
     subset of the currently valid forces with pairwise distinct targets."""
     rule = _rule(rule)
-    chosen = set(chosen)
+    chosen = {Force(*f) for f in chosen}
     if not chosen:
         raise ValueError("empty force step")
     valid = valid_forces(g, state.blue, rule)
@@ -201,7 +183,7 @@ def closure(g: Graph, initial: int, rule: "Rule | str") -> tuple[Chronology, tup
     if initial & ~g.full_mask:
         raise ValueError("blue set mentions vertices outside the graph")
     steps = _walk(g.adj, initial, g.full_mask, rule is Rule.PSD, _greedy)
-    chron = Chronology(initial, tuple(frozenset(step) for step, _ in steps), rule)
+    chron = Chronology(initial, tuple(frozenset(step) for step in steps), rule)
     return chron, expansion_sequence(chron)
 
 
@@ -233,10 +215,14 @@ def chronological_list(g: Graph, b: int, rule: "Rule | str",
     else:
         rest = iter(replay)
 
-        def pick(valid):
-            pulled[:] = islice(rest, 1)
-            return pulled[:] if pulled and pulled[0] in valid else []
-    steps = [frozenset(step) for step, _ in _walk(g.adj, b, full, rule is Rule.PSD, pick)]
+        def pick(forces):
+            pulled[:] = [Force(*f) for f in islice(rest, 1)]
+            # a negative target is never valid, and 1 << it would raise
+            if not pulled or pulled[0].target < 0:
+                return []
+            u, w = pulled[0]
+            return pulled[:] if (u, 1 << w) in forces else []
+    steps = [frozenset(step) for step in _walk(g.adj, b, full, rule is Rule.PSD, pick)]
     if len(steps) == (full & ~b).bit_count() and not pulled:
         return Chronology(b, tuple(steps), rule)
     # an initial set that does not force is named before the replayed force
@@ -263,7 +249,7 @@ def make_chronology(g: Graph, initial: int, steps: Iterable[Iterable[Force]],
                     rule: "Rule | str") -> Chronology:
     """Validate externally supplied per-step force sets and wrap them."""
     rule = _rule(rule)
-    chron = Chronology(initial, tuple(frozenset(s) for s in steps), rule)
+    chron = Chronology(initial, tuple(frozenset(Force(*f) for f in s) for s in steps), rule)
     check_chronology(g, chron)
     return chron
 

@@ -109,7 +109,7 @@ def _improve(g: Graph, s: int, c: int) -> "ReconnectionStep | MinimalityRefutati
     unsaturated = (g.adj[x] | 1 << x) & ~(s | c)
     steps = []
     if unsaturated:
-        for step, _ in _walk(g.adj, s, g.full_mask, True, _least):
+        for step in _walk(g.adj, s, g.full_mask, True, _least):
             steps.append(frozenset(step))
             unsaturated &= ~(1 << step[0].target)
             if not unsaturated:

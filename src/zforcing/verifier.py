@@ -90,8 +90,9 @@ def mirror_check(g: Graph, s: int) -> MirrorReport:
         raise ValueError("s mentions vertices outside the graph")
     blue = s
     log: list[MirrorStep] = []
-    for t, ([force], parts) in enumerate(_walk(g.adj, s, full, True, _least)):
-        white_connected = parts <= 1
+    for t, [force] in enumerate(_walk(g.adj, s, full, True, _least)):
+        white = full & ~blue
+        white_connected = reach(g.adj, white & -white, white) == white
         standard_valid = g.adj[force.source] & ~blue == 1 << force.target
         log.append(MirrorStep(t, force, white_connected, standard_valid))
         if not (white_connected and standard_valid):

@@ -15,6 +15,7 @@ from zforcing import (
     Rule,
     apply_step,
     bits,
+    build_bundle,
     check_chronology,
     chronological_list,
     closure,
@@ -350,3 +351,66 @@ class TestChronologyConstruction:
                                     step.append(f)
                             cur = apply_step(g, ColorState(cur, 0), step, rule).blue
                         assert cur == final
+
+
+class TestPlainPairs:
+    # every entry point that takes supplied forces stores them as Force
+    # records, so plain (source, target) pairs build the same chronology
+    STEPS = [[(3, 2), (3, 4)], [(1, 0), (4, 6)], [(5, 7)]]
+    H = mask_of([0, 1, 2, 3, 4])
+
+    def _assert_same(self, g, chron, ref):
+        assert chron == ref
+        assert all(type(f) is Force for step in chron.steps for f in step)
+        assert restrict_chronology(chron, self.H) == restrict_chronology(ref, self.H)
+        for x in range(g.n):
+            assert build_bundle(g, chron, x) == build_bundle(g, ref, x)
+
+    def test_replay(self, two_diamonds):
+        lex = chronological_list(two_diamonds, B0, Rule.PSD)
+        pairs = [tuple(f) for f in lex.forces()]
+        chron = chronological_list(two_diamonds, B0, Rule.PSD, replay=pairs)
+        self._assert_same(two_diamonds, chron, lex)
+
+    def test_make_chronology(self, two_diamonds):
+        ref = make_chronology(two_diamonds, B0,
+                              [[Force(*f) for f in s] for s in self.STEPS], Rule.PSD)
+        chron = make_chronology(two_diamonds, B0, self.STEPS, Rule.PSD)
+        self._assert_same(two_diamonds, chron, ref)
+
+    def test_apply_step(self, two_diamonds):
+        state = ColorState(B0, 0)
+        assert (apply_step(two_diamonds, state, self.STEPS[0], Rule.PSD)
+                == apply_step(two_diamonds, state, [Force(*f) for f in self.STEPS[0]], Rule.PSD))
+
+    def test_bad_pair_names_its_step(self, two_diamonds):
+        # 0 is still white at step 2, so it cannot be the source
+        bad = [[(3, 2), (3, 4)], [(0, 1)]]
+        for steps in (bad, [[Force(*f) for f in s] for s in bad]):
+            with pytest.raises(ChronologyError) as info:
+                make_chronology(two_diamonds, B0, steps, Rule.PSD)
+            assert info.value.step == 2
+            assert str(info.value) == ("step 2: forces not valid at time 1: "
+                                       "[Force(source=0, target=1)]")
+        for replay in ([(3, 2), (0, 1)], [Force(3, 2), Force(0, 1)]):
+            with pytest.raises(ChronologyError) as info:
+                chronological_list(two_diamonds, B0, Rule.PSD, replay=replay)
+            assert info.value.step == 2
+            assert str(info.value) == f"force {Force(0, 1)} not valid at step 2"
+        with pytest.raises(ValueError, match=r"^forces not valid at time 0: \[Force"):
+            apply_step(two_diamonds, ColorState(B0, 0), [(0, 1)], Rule.PSD)
+
+    def test_negative_target_is_not_valid(self, two_diamonds):
+        with pytest.raises(ChronologyError) as info:
+            chronological_list(two_diamonds, B0, Rule.PSD, replay=[(3, -1)])
+        assert info.value.step == 1
+        assert str(info.value) == f"force {Force(3, -1)} not valid at step 1"
+
+    def test_non_pair_is_a_type_error(self, two_diamonds):
+        # a supplied force must unpack into Force(source, target)
+        with pytest.raises(TypeError):
+            chronological_list(two_diamonds, B0, Rule.PSD, replay=[(3, 2, 0)])
+        with pytest.raises(TypeError):
+            make_chronology(two_diamonds, B0, [[(3, 2, 0)]], Rule.PSD)
+        with pytest.raises(TypeError):
+            apply_step(two_diamonds, ColorState(B0, 0), [(3, 2, 0)], Rule.PSD)

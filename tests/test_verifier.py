@@ -3,7 +3,7 @@ from __future__ import annotations
 import pytest
 
 from conftest import two_diamonds_graph
-from naive import naive_forcing_number
+from naive import comps_of, naive_forcing_number, naive_valid_forces
 from zforcing import solver, verifier
 from zforcing import (
     Force,
@@ -84,6 +84,36 @@ class TestMirrorCheck:
         assert not rep.passed
         assert rep.reason == "no psd force at time 1"
         assert rep.steps == (MirrorStep(0, Force(0, 1), True, True),)
+
+    def test_flags_match_naive_oracle(self):
+        # every initial set on every connected claw-free class with n <= 6:
+        # each logged step is the lex least psd force, and its flags are
+        # the oracle's white-set connectivity and standard-rule test
+        seen = {False: 0, True: 0}
+        for n in range(1, 7):
+            for g, _ in _graph_classes(n, claw_free=True):
+                if not is_connected(g):
+                    continue
+                for s in range(1 << n):
+                    rep = mirror_check(g, s)
+                    blue = set(v for v in range(n) if s >> v & 1)
+                    for t, step in enumerate(rep.steps):
+                        white = set(range(n)) - blue
+                        assert step.time == t
+                        assert tuple(step.force) == min(naive_valid_forces(g, blue, "psd"))
+                        assert step.white_connected == (len(comps_of(g, white)) == 1)
+                        assert step.standard_valid == (
+                            tuple(step.force) in naive_valid_forces(g, blue, "standard"))
+                        seen[step.white_connected] += 1
+                        blue.add(step.force.target)
+                    ok = all(st.white_connected and st.standard_valid for st in rep.steps)
+                    if not ok:
+                        assert rep.reason == f"assertion failed at time {len(rep.steps) - 1}"
+                    elif len(blue) < n:
+                        assert not naive_valid_forces(g, blue, "psd")
+                        assert rep.reason == f"no psd force at time {len(rep.steps)}"
+                    assert rep.passed == (ok and len(blue) == n)
+        assert seen[False] > 100 and seen[True] > 1000
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(ValueError):

@@ -41,10 +41,14 @@ Sizes are visited in this order:
   Z - 1 is searched in full, and not even that when Z = b. b is found only
   for graphs with 10 edges or more: only b >= 4 moves the stop, and a
   minor of min degree 4 has at least 10 edges.
+- When size b + 1 forces and size b is next, `_exceeds_treewidth(adj, b)`
+  runs once; if it proves tw(G) > b, the descent stops with Z = b + 1 and
+  size b is never searched.
 
 `_search_min` returns the bound it used with the size and witness: the
 min degree when sizes up to 2 end the search or the graph has fewer than
-10 edges, b otherwise. Either is at most tw(G) <= Z+(G).
+10 edges, b + 1 when the check fired, b otherwise. Each is at most
+tw(G) <= Z+(G).
 
 tw(G) <= Z+(G): let S psd-force G and W be a component of G - S. The first
 force into W is some u -> w with N(u) & W = {w}. Each component of W - w is
@@ -52,6 +56,17 @@ forced from S - u + w, so by induction on |W| it has a decomposition of
 width <= |S| whose root bag holds S - u + w; hang each below a bag S + w.
 A bag S joins these for every W. Deleting a vertex or contracting an edge
 never raises tree-width, and min degree <= tree-width.
+
+The check uses the improved-graph rule (Clautiaux, Carlier, Moukrim and
+Negre, 2003), as the LBN+ bound of Bodlaender and Koster ("Treewidth
+computations II. Lower bounds", 2011) does: if tw(G) <= k and non-adjacent
+v, w share more than k neighbours, then tw(G + vw) <= k. Take a
+decomposition of width k with no bag holding both v and w. All of w's bags
+lie past one tree edge (i, j) with v in bag X_i, j on w's side; each common
+neighbour has bags on both sides, so it is in X_i, and X_i would hold
+k + 2 vertices. So a bag holds both and G + vw has the same decomposition.
+Joining and contracting keep tw <= k, so every graph reached has a vertex
+of degree <= k.
 
 Either way the witness is the lexicographically least minimum set.
 `tested` is the witness's 1-based rank among the nonempty vertex sets in
@@ -140,9 +155,13 @@ def _search_min(adj: tuple[int, ...], n: int, rule: Rule) -> tuple[int, int, int
         if witness:
             return k, witness, bound
     z, witness = n, (1 << n) - 1  # the full vertex set always forces
-    if sum(map(int.bit_count, adj)) >= 20:  # b < 4 leaves the stop at 2; see above
+    dense = sum(map(int.bit_count, adj)) >= 20  # b < 4 leaves the stop at 2; see above
+    if dense:
         bound = _treewidth_bound(adj)
     for k in range(n - 1, max(bound - 1, 2), -1):
+        if dense and k == bound and _exceeds_treewidth(adj, k):
+            bound += 1  # = z, so size z - 1 cannot force
+            break
         found = next(_forcing_sets_of_size(adj, n, k, psd, forts), 0)
         if not found:
             break
@@ -187,6 +206,48 @@ def _treewidth_bound(adj: tuple[int, ...]) -> int:
             rows[u] = (rows[u] | nbrs) & ~(1 << u)
             deg[u] = rows[u].bit_count()
     return best
+
+
+def _exceeds_treewidth(adj: tuple[int, ...], k: int) -> bool:
+    """True only if tw(G) > k: _treewidth_bound's contraction, joining every
+    non-adjacent pair with more than k common neighbours before each pick,
+    reaches a least degree above k (see the module docstring). A contraction
+    adds common neighbours only to pairs through u or u's new neighbours, so
+    only their rows are checked for joins again."""
+    rows = list(adj)
+    left = list(range(len(rows)))
+    alive = dirty = (1 << len(rows)) - 1
+    while len(left) > k + 1:  # else every degree is at most k
+        while dirty:
+            low = dirty & -dirty
+            dirty ^= low
+            x = low.bit_length() - 1
+            row = rows[x]
+            if row.bit_count() <= k:  # shares at most k neighbours with anyone
+                continue
+            cands = alive & ~row & ~low
+            while cands:
+                bit = cands & -cands
+                cands ^= bit
+                z = bit.bit_length() - 1
+                if (row & rows[z]).bit_count() > k:
+                    row |= bit
+                    rows[z] |= low
+                    dirty |= bit | low
+            rows[x] = row
+        v = min(left, key=lambda w: rows[w].bit_count())
+        nbrs = rows[v]
+        if nbrs.bit_count() > k:
+            return True
+        left.remove(v)
+        alive ^= 1 << v
+        if nbrs:
+            u = min(bits(nbrs), key=lambda w: (rows[w] & nbrs).bit_count())
+            dirty = nbrs & ~rows[u]  # u and its new neighbours
+            for w in bits(nbrs):
+                rows[w] = rows[w] & ~(1 << v) | 1 << u
+            rows[u] = (rows[u] | nbrs) & ~(1 << u | 1 << v)
+    return False
 
 
 def _tested(n: int, witness: int) -> int:

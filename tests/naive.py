@@ -236,3 +236,29 @@ def naive_canonical(g: Graph) -> tuple[tuple[int, ...], list[tuple[int, ...]]]:
             key.append(best)
             frontier = nxt
     return tuple(key), frontier
+
+
+def naive_treewidth(g: Graph) -> int:
+    """Exact tree-width by the elimination DP over vertex subsets: eliminating
+    v after the set S costs the number of vertices outside S + v that v
+    reaches through S, and tw(G) is the least over orders of the largest
+    cost. best[S] is the least largest cost of eliminating S first."""
+    adj = nbrs(g)
+
+    def cost(s: frozenset[int], v: int) -> int:
+        seen, frontier, out = {v}, [v], set()
+        while frontier:
+            for u in adj[frontier.pop()] - seen:
+                seen.add(u)
+                if u in s:
+                    frontier.append(u)
+                else:
+                    out.add(u)
+        return len(out)
+
+    best = {frozenset(): -1}
+    for size in range(1, g.n + 1):
+        for combo in itertools.combinations(range(g.n), size):
+            s = frozenset(combo)
+            best[s] = min(max(best[s - {v}], cost(s - {v}, v)) for v in s)
+    return best[frozenset(range(g.n))]

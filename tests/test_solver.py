@@ -8,7 +8,8 @@ from hypothesis import given
 
 from conftest import TWO_DIAMONDS_EDGES, graphs, two_diamonds_graph
 from naive import (comps_of, naive_forcing_number, naive_is_forcing,
-                   naive_minimum_sets, naive_search, naive_search_by_component)
+                   naive_minimum_sets, naive_search, naive_search_by_component,
+                   naive_treewidth)
 from zforcing import (
     Rule,
     all_minimum_sets,
@@ -21,6 +22,7 @@ from zforcing import (
     is_connected,
     is_forcing_set,
     mask_of,
+    parse_graph6,
     path_graph,
     star_graph,
 )
@@ -377,9 +379,20 @@ def _random_connected(seed, count, sizes, density):
     return out
 
 
+@pytest.fixture(scope="module")
+def exact_treewidths():
+    """(class, exact tree-width) for every class with n <= 7."""
+    return [(g, naive_treewidth(g)) for n in range(1, 8) for g, _ in _graph_classes(n)]
+
+
 class TestTreewidthBound:
     """The contraction-degeneracy bound is at most tw(G) <= Z+(G) <= Z(G),
     and the search stops its descent there."""
+
+    def test_below_exact_treewidth_on_classes(self, exact_treewidths):
+        assert sum(solver._treewidth_bound(g.adj) == tw for g, tw in exact_treewidths) > 1000
+        for g, tw in exact_treewidths:
+            assert solver._treewidth_bound(g.adj) <= tw
 
     def test_below_both_numbers_on_classes(self):
         for n in range(1, 7):
@@ -441,4 +454,51 @@ class TestTreewidthBound:
         monkeypatch.setattr(solver, "_treewidth_bound", refuse)
         for g in _trees_and_unicyclic(5, range(3, 30), 1):
             assert forcing_number(g, Rule.PSD).value <= 2
+        monkeypatch.setattr(solver, "_exceeds_treewidth", refuse)
+        for g in _trees_and_unicyclic(5, range(3, 30), 1):
+            assert forcing_number(g, Rule.PSD).value <= 2
         assert forcing_number(star_graph(5), Rule.STANDARD).value == 4
+
+
+class TestExceedsTreewidth:
+    """The improved-graph check proves tw(G) > k, and a proof at k = b ends
+    the descent at size b + 1."""
+
+    def test_fires_only_above_exact_treewidth(self, exact_treewidths):
+        fired = 0
+        for g, tw in exact_treewidths:
+            for k in range(g.n):
+                if solver._exceeds_treewidth(g.adj, k):
+                    assert tw > k
+                    fired += 1
+        assert len(exact_treewidths) == 1252 and fired == 3386
+
+    def test_known_values(self):
+        g = parse_graph6("FNz~o")  # tree-width 5, contraction degeneracy 4
+        assert solver._exceeds_treewidth(g.adj, 4)
+        assert not solver._exceeds_treewidth(g.adj, 5)
+        # tree-width 5, bound 4; proving tw > 4 needs a join at a new
+        # neighbour of a merged vertex, not only joins at the merged vertex
+        g = parse_graph6("HSkm^LT")
+        assert solver._treewidth_bound(g.adj) == 4
+        assert solver._exceeds_treewidth(g.adj, 4)
+        assert solver._exceeds_treewidth(complete_graph(7).adj, 5)
+        assert not solver._exceeds_treewidth(complete_graph(7).adj, 6)
+        assert not solver._exceeds_treewidth(from_edge_list(1, []).adj, 0)
+
+    @pytest.mark.parametrize("rule, witness, tested",
+                             [(Rule.STANDARD, 0b101111, 100), (Rule.PSD, 0b11111, 99)])
+    def test_skips_the_size_z_minus_1_proof(self, monkeypatch, rule, witness, tested):
+        # b = 4 and Z = Z+ = 5: the check proves tw > 4, so size 4 is never
+        # searched; without it the smallest closure is of size 4
+        g = parse_graph6("FNz~o")
+        assert (g.n, g.edge_count, solver._treewidth_bound(g.adj)) == (7, 17, 4)
+        sizes = set()
+        close = solver._close
+        monkeypatch.setattr(solver, "_close",
+                            lambda adj, blue, *rest: sizes.add(blue.bit_count())
+                            or close(adj, blue, *rest))
+        assert _search_min(g.adj, g.n, rule) == (5, witness, 5)
+        report = forcing_number(g, rule)
+        assert (report.value, report.witness, report.tested) == (5, witness, tested)
+        assert min(sizes) == 5

@@ -238,21 +238,28 @@ class TestNumbersDiffer:
 
     def test_tree_width_bound_found_once(self, monkeypatch):
         # the psd step reads the bound the standard search returned and
-        # computes none of its own
-        calls = []
-        real = solver._treewidth_bound
+        # computes none of its own, nor runs the improved-graph check
+        calls, checks = [], []
+        real, check = solver._treewidth_bound, solver._exceeds_treewidth
 
         def counted(adj):
             calls.append(adj)
             return real(adj)
 
+        def counted_check(adj, k):
+            checks.append(k)
+            return check(adj, k)
+
         monkeypatch.setattr(solver, "_treewidth_bound", counted)
+        monkeypatch.setattr(solver, "_exceeds_treewidth", counted_check)
         for g in (complete_graph(7), cycle_graph(7)) + tuple(g for g, _ in _graph_classes(6)):
             calls.clear()
+            checks.clear()
             solver._search_min(g.adj, g.n, solver.Rule.STANDARD)
-            searched = len(calls)
+            searched, checked = len(calls), len(checks)
             verifier._numbers_differ(g)
             assert len(calls) == 2 * searched <= 2
+            assert len(checks) == 2 * checked <= 2
         assert solver._search_min(complete_graph(7).adj, 7, solver.Rule.STANDARD)[2] == 6
 
 

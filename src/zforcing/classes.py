@@ -15,12 +15,12 @@ from .graphs import Graph, _claws, bits, mask_of
 
 def _cells(adj: tuple[int, ...]) -> list[int]:
     """Iterated degree refinement: the vertices split into ordered cells
-    (masks) by how many neighbours they have in each current cell, starting
-    from one cell, until no cell splits. Relabeling the graph relabels the
-    cells and keeps their order."""
-    cells = [(1 << len(adj)) - 1]
+    (masks) by degree, then by how many neighbours they have in each current
+    cell, until no cell splits. Relabeling the graph relabels the cells and
+    keeps their order."""
+    sig = list(map(int.bit_count, adj))
+    cells: list[int] = []
     while True:
-        sig = [tuple(map(int.bit_count, map(a.__and__, cells))) for a in adj]
         order = sorted(set(sig))
         if len(order) == len(cells):
             return cells
@@ -28,6 +28,7 @@ def _cells(adj: tuple[int, ...]) -> list[int]:
         cells = [0] * len(order)
         for v, s in enumerate(sig):
             cells[rank[s]] |= 1 << v
+        sig = [tuple(map(int.bit_count, map(a.__and__, cells))) for a in adj]
 
 
 def _canonical(adj: tuple[int, ...], cells: list[int] | None = None
@@ -93,6 +94,19 @@ def _rows_of_key(key: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(rows)
 
 
+def _carry(labelings: list[tuple[int, ...]], twin: list[int]
+           ) -> tuple[list[tuple[int, ...]], list[int]]:
+    """_canonical's labelings and twin classes of a graph, moved into the ids
+    of its key (the vertex at position p becomes p): the key's
+    automorphisms, one per coset of its twin group, and its twin classes of
+    two or more vertices."""
+    inv = [0] * len(twin)
+    for p, v in enumerate(labelings[0]):
+        inv[v] = p
+    return ([tuple(inv[v] for v in lab) for lab in labelings],
+            [mask_of(inv[v] for v in bits(c)) for c in set(twin) if c & c - 1])
+
+
 def _claw_through(adj: tuple[int, ...], k: int) -> bool:
     """Whether the graph adj has an induced claw through vertex k, given
     that it has none without k. Such a claw has k as its center, or as a
@@ -121,45 +135,49 @@ def _class_levels(n: int, claw_free: bool = False) -> Iterator[list[tuple[tuple[
     vertex, the last vertex of largest degree in its canonical labeling, so
     each class arises once, from the class left by deleting that vertex. A
     neighbourhood that would not give k the largest degree is dropped
-    first: the test reads only degrees, so it drops whole orbits, and the
-    parent's automorphisms are found only once some neighbourhood passes.
-    The cells refine the degrees and are filled in order, so a child is
-    also dropped, before it is canonicalized, when k is not in the last
-    cell of degree-d vertices.
+    first: the test reads only degrees, so it drops whole orbits. The
+    cells refine the degrees and are filled in order, so a child is also
+    dropped, before it is canonicalized, when k is not in the last cell of
+    degree-d vertices.
 
-    The parent is labeled by its key, so the labelings that reach the key
-    are its automorphisms. _canonical returns one per coset of the twin
-    group T, and every automorphism is t o L for some t in T and returned
-    L. So a neighbourhood's orbit is marked as, for each L, every mask with
-    as many members as L(nbrs) in each twin class and the same members
-    outside them. The child's test needs no twin step: k is in the orbit
-    of position p exactly when some returned L has a twin of k at p, and
-    that twin is k itself, since p is the last position of k's cell and L
-    places k after its twins, which have lower ids.
+    The parent's automorphisms come from the call that made it a child:
+    _canonical returned its labelings L, one per coset of the twin group T,
+    and the first, L0, gave its key K. _carry moves each L into K's ids as
+    sigma = inv o L, where inv[L0[p]] = p, and sigma maps K onto itself: K
+    has the edge (sigma p, sigma q) exactly when the child has (L p, L q),
+    which holds exactly when K has (p, q). The relabeling carries the
+    child's T to K's, so the sigmas are one per coset of K's T, and as T is
+    normal in Aut, every automorphism is t o sigma for some t in T and
+    carried sigma. So a neighbourhood's orbit is marked as, for each sigma,
+    every mask with as many members as sigma(nbrs) in each twin class and
+    the same members outside them. Only the level being extended keeps its
+    labelings. The child's test needs no twin step: k is in the orbit of
+    position p exactly when some returned L has a twin of k at p, and that
+    twin is k itself, since p is the last position of k's cell and L places
+    k after its twins, which have lower ids.
 
     With claw_free only the classes without an induced claw are made.
     Deleting a vertex of a claw-free graph leaves it claw-free, so they all
     grow from claw-free parents, and a child is dropped, before it is
     canonicalized, when it has a claw through k (_claw_through)."""
     level = [((0,), 1)]
+    groups = {(0,): ([(0,)], [])}
     yield level
     for k in range(1, n):
         children = []
+        kept = {}  # the next level's groups, if one follows
         for key, _ in level:
             rows = _rows_of_key(key)
             degs = [row.bit_count() for row in rows]
             top = max(degs)
             at_top = mask_of(v for v, dv in enumerate(degs) if dv == top)
-            auts = None
+            auts, classes = groups[key]
+            alone = ~sum(classes)
             seen = bytearray(1 << k)
             for nbrs in range(1 << k):
                 d = nbrs.bit_count()
                 if seen[nbrs] or d < top or d == top and nbrs & at_top:
                     continue
-                if auts is None:  # rows is canonically labeled
-                    _, auts, twin, _ = _canonical(rows)
-                    classes = [c for c in set(twin) if c & c - 1]
-                    alone = ~sum(classes)
                 for perm in auts:
                     m = mask_of(perm[i] for i in bits(nbrs))
                     marks = [m & alone]
@@ -176,11 +194,14 @@ def _class_levels(n: int, claw_free: bool = False) -> Iterator[list[tuple[tuple[
                 last = next(c for c in reversed(cells) if child[next(bits(c))].bit_count() == d)
                 if not last >> k & 1:  # p, below, lies in that cell
                     continue
-                child_key, labelings, _, aut = _canonical(child, cells)
+                child_key, labelings, twin, aut = _canonical(child, cells)
                 p = max(i for i, v in enumerate(labelings[0]) if child[v].bit_count() == d)
                 if any(lab[p] == k for lab in labelings):
                     children.append((child_key, aut))
+                    if k + 1 < n:
+                        kept[child_key] = _carry(labelings, twin)
         level = sorted(children)
+        groups = kept
         yield level
 
 

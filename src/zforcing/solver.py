@@ -43,7 +43,8 @@ Sizes are visited in this order:
   minor of min degree 4 has at least 10 edges.
 - When size b + 1 forces and size b is next, `_exceeds_treewidth(adj, b)`
   runs once; if it proves tw(G) > b, the descent stops with Z = b + 1 and
-  size b is never searched.
+  size b is never searched. It runs only when n > b + 2: tw(G) <= n - 1,
+  and tw(G) = n - 1 only for K_n, whose b is n - 1.
 
 `_search_min` returns the bound it used with the size and witness: the
 min degree when sizes up to 2 end the search or the graph has fewer than
@@ -159,7 +160,7 @@ def _search_min(adj: tuple[int, ...], n: int, rule: Rule) -> tuple[int, int, int
     if dense:
         bound = _treewidth_bound(adj)
     for k in range(n - 1, max(bound - 1, 2), -1):
-        if dense and k == bound and _exceeds_treewidth(adj, k):
+        if dense and k == bound and n > k + 2 and _exceeds_treewidth(adj, k):
             bound += 1  # = z, so size z - 1 cannot force
             break
         found = next(_forcing_sets_of_size(adj, n, k, psd, forts), 0)

@@ -4,12 +4,13 @@ import functools
 import itertools
 import math
 import operator
+import random
 
 import pytest
 from hypothesis import given, strategies as st
 
 from conftest import graphs, two_diamonds_graph
-from naive import naive_canonical, naive_claws, naive_edge_mask
+from naive import naive_canonical, naive_cells, naive_claws, naive_edge_mask
 from zforcing import (
     Graph,
     bits,
@@ -32,8 +33,9 @@ from zforcing import (
     star_graph,
     to_graph6,
 )
-from zforcing.classes import (_canonical, _class_levels, _claw_through, _graph_classes,
-                              _rows_of_key)
+from zforcing import classes
+from zforcing.classes import (_canonical, _carry, _cells, _class_levels, _claw_through,
+                              _graph_classes, _rows_of_key)
 from zforcing.graphs import _claws
 
 
@@ -385,6 +387,100 @@ class TestCanonicalOracle:
         # every such graph on fewer vertices is one of the classes above
         for g in twin_heavy(8):
             self.agree(g)
+
+
+class TestCellsOracle:
+    """_cells starts from the degree split; naive_cells starts from one cell.
+    Both must end in the same cells, in the same order."""
+
+    @staticmethod
+    def agree(g: Graph) -> None:
+        assert [list(bits(c)) for c in _cells(g.adj)] == naive_cells(g)
+
+    def test_every_labeled_graph_to_five(self):
+        for n in range(1, 6):
+            for g in enumerate_graphs(n):
+                self.agree(g)
+
+    def test_every_class_to_seven(self):
+        for n in range(1, 8):
+            for g, _ in _graph_classes(n):
+                self.agree(g)
+
+    def test_twin_heavy_families_at_eight(self):
+        for g in twin_heavy(8):
+            self.agree(g)
+
+    def test_regular_graphs_are_one_cell(self):
+        for n in range(1, 9):
+            regular = [complete_graph(n), from_edge_list(n, [])]
+            if n >= 3:
+                regular.append(cycle_graph(n))
+            for g in regular:
+                assert _cells(g.adj) == [(1 << n) - 1]
+                self.agree(g)
+
+    def test_one_vertex(self):
+        assert _cells((0,)) == [1]
+        self.agree(from_edge_list(1, []))
+
+
+class TestCarriedGroup:
+    """_class_levels reads a class's automorphisms from the call that
+    canonicalized it as a child, moved into its key's ids by _carry. Each
+    carried labeling, with its vertices moved inside the carried twin
+    classes in every way, must give exactly the labelings naive_canonical
+    finds on the graph labeled by the key, each once."""
+
+    @staticmethod
+    def agree(key: tuple[int, ...], carried) -> None:
+        perms, twins = carried
+        g = Graph(len(key), _rows_of_key(key))
+        assert set(twins) == {c for c in set(_canonical(g.adj)[2]) if c & c - 1}
+        groups = [list(bits(c)) for c in twins]
+        expanded = []
+        for perm in perms:
+            for images in itertools.product(*map(itertools.permutations, groups)):
+                t = list(range(g.n))
+                for members, image in zip(groups, images):
+                    for v, w in zip(members, image):
+                        t[v] = w
+                expanded.append(tuple(t[v] for v in perm))
+        assert len(expanded) == len(set(expanded))  # one per coset of T
+        assert set(expanded) == set(naive_canonical(g)[1])
+
+    @pytest.mark.parametrize("claw_free", [False, True], ids=["all", "claw_free"])
+    def test_every_class_to_six(self, monkeypatch, claw_free):
+        # spy on what the walk carries; a level is carried when one follows
+        carried, last = {}, []
+        canonical, carry = classes._canonical, classes._carry
+
+        def spy_canonical(adj, cells=None):
+            last[:] = [canonical(adj, cells)]
+            return last[0]
+
+        def spy_carry(labelings, twin):
+            key, labs, twins, _ = last[0]
+            assert labs is labelings and twins is twin
+            carried[key] = carry(labelings, twin)
+            return carried[key]
+
+        monkeypatch.setattr(classes, "_canonical", spy_canonical)
+        monkeypatch.setattr(classes, "_carry", spy_carry)
+        levels = list(_class_levels(7, claw_free))
+        assert set(carried) == {key for level in levels[1:6] for key, _ in level}
+        for key, group in carried.items():
+            self.agree(key, group)
+
+    def test_twin_heavy_families_at_eight(self):
+        rnd = random.Random(8)
+        for g in twin_heavy(8):
+            perm = list(range(8))
+            rnd.shuffle(perm)
+            h = from_edge_list(8, [(perm[u], perm[v]) for u, v in g.edges()])
+            for graph in (g, h):
+                key, labelings, twin, _ = _canonical(graph.adj)
+                self.agree(key, _carry(labelings, twin))
 
 
 class TestClassCountTransforms:

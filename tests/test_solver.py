@@ -24,6 +24,7 @@ from zforcing import (
     mask_of,
     parse_graph6,
     path_graph,
+    run_corpus_enumerated,
     star_graph,
 )
 from zforcing import solver
@@ -485,6 +486,30 @@ class TestExceedsTreewidth:
         assert solver._exceeds_treewidth(complete_graph(7).adj, 5)
         assert not solver._exceeds_treewidth(complete_graph(7).adj, 6)
         assert not solver._exceeds_treewidth(from_edge_list(1, []).adj, 0)
+
+    def test_never_fires_at_the_bound_near_complete(self, exact_treewidths):
+        # tw(G) > b with n <= b + 2 would make G complete, whose b is n - 1,
+        # so _search_min need not run the check there
+        near = 0
+        for g, tw in exact_treewidths:
+            b = solver._treewidth_bound(g.adj)
+            if g.n <= b + 2:
+                near += 1
+                assert tw <= b
+                assert not solver._exceeds_treewidth(g.adj, b)
+        assert near == 43
+
+    def test_runs_only_above_n_minus_2(self, monkeypatch):
+        # the corpus bench's calls: theorem and monotonicity for n = 1..6
+        calls = []
+        check = solver._exceeds_treewidth
+        monkeypatch.setattr(solver, "_exceeds_treewidth",
+                            lambda adj, k: calls.append((len(adj), k)) or check(adj, k))
+        for mode in ("theorem", "monotonicity"):
+            for n in range(1, 7):
+                run_corpus_enumerated(n, mode)
+        assert len(calls) == 35
+        assert all(n > k + 2 for n, k in calls)
 
     @pytest.mark.parametrize("rule, witness, tested",
                              [(Rule.STANDARD, 0b101111, 100), (Rule.PSD, 0b11111, 99)])

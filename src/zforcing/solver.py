@@ -32,23 +32,31 @@ one BFS.
 
 Sizes are visited in this order:
 
-- Every size below min degree fails without a search, since
-  min degree <= tw(G) <= Z+(G) <= Z(G) (tree-width; see below).
-- Sizes up to 2 are tried ascending, and the first success returns.
+- First the bound is set: b = _treewidth_bound <= tw(G) for a graph with
+  at least 10 edges and at least as many edges as vertices, the min
+  degree for the rest. b is at least the min degree, the first degree it
+  records. A graph with as many edges as vertices has a cycle; a
+  connected one with fewer is a tree, whose b is at most 1. A graph with
+  fewer than 10 edges has b <= 3, since a minor of min degree 4 has at
+  least 10 edges, so its b could skip only sizes 1 and 2, never a size
+  of the descent below.
+- Every size below the bound fails without a search, since
+  min degree <= b <= tw(G) <= Z+(G) <= Z(G) (tree-width; see below).
+- Sizes from the bound up to 2 are tried ascending, and the first success
+  returns.
 - Then sizes go down from n - 1 and stop at the first size with no forcing
-  set, or at b = _treewidth_bound <= tw(G). A superset of a forcing set
-  forces under both rules, so Z is the last size that had one. Only size
-  Z - 1 is searched in full, and not even that when Z = b. b is found only
-  for graphs with 10 edges or more: only b >= 4 moves the stop, and a
-  minor of min degree 4 has at least 10 edges.
-- When size b + 1 forces and size b is next, `_exceeds_treewidth(adj, b)`
-  runs once; if it proves tw(G) > b, the descent stops with Z = b + 1 and
-  size b is never searched. It runs only when n > b + 2: tw(G) <= n - 1,
-  and tw(G) = n - 1 only for K_n, whose b is n - 1.
+  set, or at the bound. A superset of a forcing set forces under both
+  rules, so Z is the last size that had one. Only size Z - 1 is searched
+  in full, and not even that when Z = b.
+- When b was found, size b + 1 forces and size b is next,
+  `_exceeds_treewidth(adj, b)` runs once; if it proves tw(G) > b, the
+  descent stops with Z = b + 1 and size b is never searched. It runs only
+  when n > b + 2: tw(G) <= n - 1, and tw(G) = n - 1 only for K_n, whose b
+  is n - 1.
 
 `_search_min` returns the bound it used with the size and witness: the
-min degree when sizes up to 2 end the search or the graph has fewer than
-10 edges, b + 1 when the check fired, b otherwise. Each is at most
+min degree when the graph has fewer than 10 edges or fewer edges than
+vertices, b + 1 when the check fired, b otherwise. Each is at most
 tw(G) <= Z+(G).
 
 tw(G) <= Z+(G): let S psd-force G and W be a component of G - S. The first
@@ -146,19 +154,19 @@ def _forcing_sets_of_size(adj: tuple[int, ...], n: int, k: int, psd: bool,
 
 def _search_min(adj: tuple[int, ...], n: int, rule: Rule) -> tuple[int, int, int]:
     """(size, witness mask, tree-width lower bound) for one whole graph, in
-    the size order the module docstring gives; the bound is the one the
-    search used."""
+    the size order the module docstring gives. The bound is known before
+    any size is scanned, and no size below it is; it is returned as the
+    search used it."""
     psd = rule is Rule.PSD
     forts: list[int] = []  # every size's failed closures prune every later size
-    bound = min(map(int.bit_count, adj))
+    edges = sum(map(int.bit_count, adj)) // 2
+    dense = edges >= max(10, n)  # a cycle, and enough edges for b >= 4; see above
+    bound = _treewidth_bound(adj) if dense else min(map(int.bit_count, adj))
     for k in range(max(bound, 1), min(n, 2) + 1):
         witness = next(_forcing_sets_of_size(adj, n, k, psd, forts), 0)
         if witness:
             return k, witness, bound
     z, witness = n, (1 << n) - 1  # the full vertex set always forces
-    dense = sum(map(int.bit_count, adj)) >= 20  # b < 4 leaves the stop at 2; see above
-    if dense:
-        bound = _treewidth_bound(adj)
     for k in range(n - 1, max(bound - 1, 2), -1):
         if dense and k == bound and n > k + 2 and _exceeds_treewidth(adj, k):
             bound += 1  # = z, so size z - 1 cannot force

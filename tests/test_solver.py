@@ -448,17 +448,73 @@ class TestTreewidthBound:
         assert min(sizes) == 4
 
     def test_not_computed_without_need(self, monkeypatch):
-        # psd trees have Z+ = 1 and unicyclic graphs Z+ = 2, so size 2 ends
-        # the search; K_{1,5} has Z = 4 but too few edges for a bound of 4
-        def refuse(adj):
+        # trees have fewer edges than vertices and K_{1,5} has Z = 4 but
+        # too few edges for a bound of 4; psd trees have Z+ = 1 and
+        # unicyclic graphs Z+ = 2, so size 2 ends the search
+        def refuse(*args):
             raise AssertionError("bound computed")
+        graphs_ = _trees_and_unicyclic(5, range(3, 30), 1)
+        trees, unicyclic = graphs_[::2], graphs_[1::2]
+        real = solver._treewidth_bound
         monkeypatch.setattr(solver, "_treewidth_bound", refuse)
-        for g in _trees_and_unicyclic(5, range(3, 30), 1):
-            assert forcing_number(g, Rule.PSD).value <= 2
         monkeypatch.setattr(solver, "_exceeds_treewidth", refuse)
-        for g in _trees_and_unicyclic(5, range(3, 30), 1):
-            assert forcing_number(g, Rule.PSD).value <= 2
+        for g in trees:
+            assert forcing_number(g, Rule.PSD).value == 1
         assert forcing_number(star_graph(5), Rule.STANDARD).value == 4
+        sparse = [g for g in unicyclic if g.edge_count < 10]
+        for g in sparse:
+            assert forcing_number(g, Rule.PSD).value == 2
+        # with 10 edges or more, b = 2 is found once, before size 1 is tried
+        bounds, sizes = [], set()
+        close = solver._close
+        monkeypatch.setattr(solver, "_treewidth_bound",
+                            lambda adj: bounds.append(real(adj)) or bounds[-1])
+        monkeypatch.setattr(solver, "_close",
+                            lambda adj, blue, *rest: sizes.add(blue.bit_count())
+                            or close(adj, blue, *rest))
+        for g in unicyclic[len(sparse):]:
+            bounds.clear()
+            sizes.clear()
+            assert g.edge_count >= 10
+            assert forcing_number(g, Rule.PSD).value == 2
+            assert bounds == [2] and min(sizes) == 2
+
+    @pytest.mark.parametrize("rule", list(Rule), ids=lambda r: r.value)
+    def test_sizes_below_the_bound_skipped_on_classes(self, monkeypatch, rule):
+        # the classes where b, known before any scan, skips sizes 1-2 that
+        # the min degree does not: at least 10 and at least n edges,
+        # min degree <= 2 and b > max(min degree, 1)
+        skipping = []
+        for n in range(1, 7):
+            for g, _ in _graph_classes(n):
+                least = min(map(int.bit_count, g.adj))
+                if (g.edge_count >= max(10, n) and least <= 2
+                        and solver._treewidth_bound(g.adj) > max(least, 1)):
+                    skipping.append(g)
+        assert len(skipping) == 16
+        sizes = set()
+        close = solver._close
+        monkeypatch.setattr(solver, "_close",
+                            lambda adj, blue, *rest: sizes.add(blue.bit_count())
+                            or close(adj, blue, *rest))
+        for g in skipping:
+            sizes.clear()
+            k, combo, tried = naive_search(g, rule.value)
+            assert _search(g, rule) == (k, mask_of(combo), tried)
+            assert min(sizes) >= solver._treewidth_bound(g.adj)
+
+    def test_closure_count_on_classes(self, monkeypatch):
+        # every class with n <= 7 under both rules; trying sizes 1-2 before
+        # b is known ran 19,658 closures
+        calls = []
+        close = solver._close
+        monkeypatch.setattr(solver, "_close",
+                            lambda *args: calls.append(None) or close(*args))
+        classes = [g for n in range(1, 8) for g, _ in _graph_classes(n)]
+        for g in classes:
+            for rule in Rule:
+                _search_min(g.adj, g.n, rule)
+        assert (len(classes), len(calls)) == (1252, 16170)
 
 
 class TestExceedsTreewidth:

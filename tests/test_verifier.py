@@ -236,6 +236,17 @@ class TestNumbersDiffer:
         assert verifier._numbers_differ(star_graph(3))
         assert not verifier._numbers_differ(two_diamonds_graph())
 
+    def test_matches_naive_at_seven(self):
+        # n = 7 is where the bound, the improved-graph check and the fort
+        # list first prune much; a decision that stops seeing Z != Z+ fails
+        differ = 0
+        for g, _ in _graph_classes(7):
+            z = naive_forcing_number(g, "standard")
+            zp = naive_forcing_number(g, "psd")
+            assert verifier._numbers_differ(g) == (z != zp)
+            differ += z != zp
+        assert differ == 203
+
     def test_tree_width_bound_found_once(self, monkeypatch):
         # the psd step reads the bound the standard search returned and
         # computes none of its own, nor runs the improved-graph check

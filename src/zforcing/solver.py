@@ -194,46 +194,36 @@ def _numbers_differ(g: Graph) -> bool:
 def _treewidth_bound(adj: tuple[int, ...]) -> int:
     """A lower bound on tree-width, the contraction degeneracy with
     least-common-neighbour contraction (Bodlaender, Koster and Wolle, 2006):
-    take a least-degree vertex, record its degree, and contract it into the
-    neighbour it shares fewest neighbours with, or delete it if isolated;
-    ties go to the lowest id. Every graph on the way is a minor of the
-    input, so the largest degree recorded is at most its tree-width."""
-    rows = list(adj)
-    deg = [row.bit_count() for row in rows]
-    left = list(range(len(rows)))
-    best = 0
-    while len(left) > best + 1:  # no degree left can exceed best
-        v = min(left, key=deg.__getitem__)
-        left.remove(v)
-        best = max(best, deg[v])
-        nbrs = rows[v]
-        if nbrs:
-            u = min(bits(nbrs), key=lambda w: (rows[w] & nbrs).bit_count())
-            for w in bits(nbrs):
-                rows[w] = rows[w] & ~(1 << v) | 1 << u
-                deg[w] = rows[w].bit_count()
-            rows[u] = (rows[u] | nbrs) & ~(1 << u)
-            deg[u] = rows[u].bit_count()
-    return best
+    _contract without joins, as no pair shares n neighbours. Every graph on
+    the way is a minor of the input, so no degree recorded exceeds tw(G)."""
+    return _contract(adj, len(adj))
 
 
 def _exceeds_treewidth(adj: tuple[int, ...], k: int) -> bool:
-    """True only if tw(G) > k: _treewidth_bound's contraction, joining every
-    non-adjacent pair with more than k common neighbours before each pick,
-    reaches a least degree above k (see the module docstring). A contraction
-    adds common neighbours only to pairs through u or u's new neighbours, so
-    only their rows are checked for joins again."""
+    """True only if tw(G) > k (see the module docstring)."""
+    return _contract(adj, k) > k
+
+
+def _contract(adj: tuple[int, ...], k: int) -> int:
+    """Take a least-degree vertex, record its degree, and contract it into
+    the neighbour it shares fewest neighbours with, or delete it if isolated;
+    ties go to the lowest id. Before each pick, join every non-adjacent pair
+    with more than k common neighbours; only pairs through u or u's new
+    neighbours gain common ones. Return the largest degree recorded,
+    stopping once it exceeds k."""
     rows = list(adj)
+    deg = [row.bit_count() for row in rows]
     left = list(range(len(rows)))
     alive = dirty = (1 << len(rows)) - 1
-    while len(left) > k + 1:  # else every degree is at most k
-        while dirty:
+    best = 0
+    while len(left) > best + 1:  # no degree left can exceed best
+        while dirty and len(left) > k + 2:  # else no pair shares k + 1 neighbours
             low = dirty & -dirty
             dirty ^= low
             x = low.bit_length() - 1
-            row = rows[x]
-            if row.bit_count() <= k:  # shares at most k neighbours with anyone
+            if deg[x] <= k:  # shares at most k neighbours with anyone
                 continue
+            row = rows[x]
             cands = alive & ~row & ~low
             while cands:
                 bit = cands & -cands
@@ -243,20 +233,23 @@ def _exceeds_treewidth(adj: tuple[int, ...], k: int) -> bool:
                     row |= bit
                     rows[z] |= low
                     dirty |= bit | low
-            rows[x] = row
-        v = min(left, key=lambda w: rows[w].bit_count())
-        nbrs = rows[v]
-        if nbrs.bit_count() > k:
-            return True
+            rows[x], deg[x] = row, row.bit_count()
+        v = min(left, key=deg.__getitem__)
+        best = max(best, deg[v])
+        if best > k:
+            return best
         left.remove(v)
         alive ^= 1 << v
+        nbrs = rows[v]
         if nbrs:
             u = min(bits(nbrs), key=lambda w: (rows[w] & nbrs).bit_count())
             dirty = nbrs & ~rows[u]  # u and its new neighbours
             for w in bits(nbrs):
                 rows[w] = rows[w] & ~(1 << v) | 1 << u
-            rows[u] = (rows[u] | nbrs) & ~(1 << u | 1 << v)
-    return False
+                deg[w] = rows[w].bit_count()
+            rows[u] = (rows[u] | nbrs) & ~(1 << u)
+            deg[u] = rows[u].bit_count()
+    return best
 
 
 def _tested(n: int, witness: int) -> int:

@@ -5,27 +5,26 @@ demands equal standard and psd forcing numbers on every connected
 claw-free graph, testing psd sets at sizes Z and Z - 1 only; `corollary`
 demands that having equal numbers on every induced subgraph coincide
 with claw-freeness; `monotonicity` demands the psd number never exceed
-the standard one. run_corpus feeds it any stream of graphs, each counted
-once. run_corpus_enumerated covers every labeled graph on n vertices but
+the standard one. Each mode is one record in _MODES: its decision, its
+enumeration cap (9, 6 and 7) and whether enumeration makes only the
+claw-free classes, as in theorem mode, which checks no other class.
+run_corpus feeds the engine any stream of graphs, each counted once.
+run_corpus_enumerated covers every labeled graph on n vertices but
 solves one canonical representative per isomorphism class, counted
 n!/|Aut| times, since forcing numbers, claw-freeness and connectivity do
-not depend on the labeling. In theorem mode it walks only the claw-free
-classes, since no other class is checked, and takes n up to 9; the other
-modes take n up to 7, corollary up to 6. Failure lists carry graph6
-strings in stream order: input order for run_corpus, one canonical
-representative per class, in canonical-key order, for
-run_corpus_enumerated. Corollary mode decides each connected induced
-subgraph as theorem mode decides a graph.
+not depend on the labeling. Failure lists carry graph6 strings in stream
+order: input order for run_corpus, one canonical representative per
+class, in canonical-key order, for run_corpus_enumerated. Corollary mode
+decides each connected induced subgraph as theorem mode decides a graph.
 """
 from __future__ import annotations
 
 from types import SimpleNamespace
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 from .graphs import Graph, induced_subgraph, is_claw_free, is_connected, reach, to_graph6
 from .forcing import Force, Rule, _close, _least, _walk
 from .solver import _numbers_differ, _search_min, forcing_number
-from .documents import MODES
 
 
 class EqualityReport(NamedTuple):
@@ -117,35 +116,48 @@ def is_zz_perfect_direct(g: Graph) -> bool:
                    if reach(g.adj, smask & -smask, smask) == smask)
 
 
-def _examine_one(g: Graph, weight: int, mode: str, summary: CorpusSummary) -> None:
-    summary.total += weight
-    claw_free = is_claw_free(g)
-    if claw_free:
-        summary.claw_free += weight
-    if mode == "theorem":
-        if not (claw_free and is_connected(g)):
-            return
-        failed = _numbers_differ(g)
-    elif mode == "corollary":
-        failed = is_zz_perfect_direct(g) != claw_free
-    else:  # monotonicity
-        # Z+ > Z exactly when the standard witness does not psd-force
-        witness = _search_min(g.adj, g.n, Rule.STANDARD)[1]
-        failed = _close(g.adj, witness, g.full_mask, True) != g.full_mask
-    # a graph counts as checked only once its decision has returned
-    summary.checked += weight
-    if failed:
-        summary.failures.append(to_graph6(g))
+class _Mode(NamedTuple):
+    decide: Callable[[Graph, bool], "bool | None"]  # failed, or None if not checked
+    cap: int  # enumeration takes n = 1..cap
+    claw_free_only: bool  # enumeration makes only the claw-free classes
+
+
+def _monotonicity_fails(g: Graph, claw_free: bool) -> bool:
+    # Z+ > Z exactly when the standard witness does not psd-force
+    witness = _search_min(g.adj, g.n, Rule.STANDARD)[1]
+    return _close(g.adj, witness, g.full_mask, True) != g.full_mask
+
+
+# decisions look their helpers up when called, so that tests can replace them
+_MODES = {
+    "theorem": _Mode(lambda g, claw_free: _numbers_differ(g)
+                     if claw_free and is_connected(g) else None, 9, True),
+    "corollary": _Mode(lambda g, claw_free: is_zz_perfect_direct(g) != claw_free, 6, False),
+    "monotonicity": _Mode(_monotonicity_fails, 7, False),
+}
+
+
+def _mode(mode: str) -> _Mode:
+    if mode not in _MODES:
+        raise ValueError(f"unknown mode {mode!r}")
+    return _MODES[mode]
 
 
 def _run_weighted(weighted, mode: str) -> CorpusSummary:
-    if mode not in MODES:
-        raise ValueError(f"unknown mode {mode!r}")
+    decide = _mode(mode).decide
     summary = CorpusSummary(mode=mode)
     for g, weight in weighted:
-        try:
-            _examine_one(g, weight, mode, summary)
-        except Exception as exc:  # one bad graph must not end the run
+        try:  # one bad graph must not end the run
+            summary.total += weight
+            claw_free = is_claw_free(g)
+            if claw_free:
+                summary.claw_free += weight
+            failed = decide(g, claw_free)
+            if failed is not None:  # checked only once its decision has returned
+                summary.checked += weight
+                if failed:
+                    summary.failures.append(to_graph6(g))
+        except Exception as exc:
             summary.errors.append(f"{to_graph6(g)}: {type(exc).__name__}: {exc}")
     return summary
 
@@ -157,21 +169,15 @@ def run_corpus(graphs, mode: str) -> CorpusSummary:
 
 
 def run_corpus_enumerated(n: int, mode: str, jobs: int | None = None) -> CorpusSummary:
-    """run_corpus over every labeled graph on n vertices, solving one
-    representative per isomorphism class and counting it n!/|Aut| times.
-    Theorem mode generates only the claw-free classes, up to n = 9; every
-    labeled graph still counts in total. jobs is ignored; the slot remains
-    so that three-argument callers of the former multiprocess engine keep
-    working."""
-    theorem = mode == "theorem"
-    top = 9 if theorem else 7
-    if not 1 <= n <= top:
-        raise ValueError(f"enumeration supports 1..{top} vertices in {mode} mode, got {n}")
-    if mode == "corollary" and n > 6:
-        raise ValueError("corollary mode checks every induced subgraph directly "
-                         f"and supports n <= 6 only, got {n}")
+    """run_corpus over every labeled graph on n <= the mode's cap vertices,
+    solving one representative per isomorphism class and counting it
+    n!/|Aut| times. jobs is ignored; the slot remains so that three-argument
+    callers of the former multiprocess engine keep working."""
+    spec = _mode(mode)
+    if not 1 <= n <= spec.cap:
+        raise ValueError(f"enumeration supports 1..{spec.cap} vertices "
+                         f"(n <= {spec.cap}) in {mode} mode, got {n}")
     from .classes import _graph_classes  # only enumeration needs the class generator
-    summary = _run_weighted(_graph_classes(n, claw_free=theorem), mode)
-    if theorem:
-        summary.total = 1 << (n * (n - 1) // 2)
+    summary = _run_weighted(_graph_classes(n, claw_free=spec.claw_free_only), mode)
+    summary.total = 1 << (n * (n - 1) // 2)  # also the graphs a claw-free stream skips
     return summary

@@ -360,6 +360,19 @@ class TestVerify:
         assert doc is None
         assert "error:" in err and "1..9" in err
 
+    @pytest.mark.parametrize("mode, n, cap", [
+        ("theorem", 0, 9), ("theorem", 10, 9), ("corollary", 0, 6), ("corollary", 7, 6),
+        ("corollary", 8, 6), ("monotonicity", 0, 7), ("monotonicity", 8, 7)])
+    def test_enumerate_refusals_name_the_cap(self, capsys, monkeypatch, mode, n, cap):
+        def refuse(*args, **kwargs):
+            raise AssertionError("no graph may be generated")
+
+        monkeypatch.setattr("zforcing.classes._graph_classes", refuse)
+        code, doc, err = run_cli(capsys, ["verify", "--mode", mode, "--enumerate", str(n)])
+        assert (code, doc) == (2, None)
+        assert err == f"error: enumeration supports 1..{cap} vertices (n <= {cap}) " \
+                      f"in {mode} mode, got {n}\n"
+
     def test_jobs_flag_is_gone(self, capsys):
         assert main(["verify", "--enumerate", "3", "--jobs", "2"]) == 2
         capsys.readouterr()

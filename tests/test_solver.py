@@ -28,7 +28,7 @@ from zforcing import (
     star_graph,
 )
 from zforcing import solver
-from zforcing.classes import _graph_classes
+from zforcing.classes import _canonical, _graph_classes
 from zforcing.solver import _search_min
 
 
@@ -395,6 +395,13 @@ class TestTreewidthBound:
         for g, tw in exact_treewidths:
             assert solver._treewidth_bound(g.adj) <= tw
 
+    def test_bound_pinned_on_classes(self, exact_treewidths):
+        # the exact values beside the loose count above: one contraction
+        # loop serves both b and the improved-graph check, and b must not move
+        bounds = [solver._treewidth_bound(g.adj) for g, _ in exact_treewidths]
+        assert (len(bounds), sum(bounds)) == (1252, 3385)
+        assert sum(b == tw for b, (_, tw) in zip(bounds, exact_treewidths)) == 1251
+
     def test_below_both_numbers_on_classes(self):
         for n in range(1, 7):
             for g, _ in _graph_classes(n):
@@ -566,6 +573,42 @@ class TestExceedsTreewidth:
                 run_corpus_enumerated(n, mode)
         assert len(calls) == 35
         assert all(n > k + 2 for n, k in calls)
+
+    # every connected class on 8 vertices on which the check fires at k = b,
+    # found by enumerating n = 8 once, so that this suite need not
+    FIRES_AT_EIGHT = (
+        "G@\\r~w", "G@^vvo", "G@\\~vg", "G@\\~vk", "GDh~vo", "GDl~fS", "GD^fvw",
+        "GD^f~w", "GBXzt{", "GBX|~o", "GBX|~s", "GBXz~o", "GBzd~w", "GBnf^w",
+        "GBnnvo", "GB]~Vg", "GB]~Vk", "GB]~nW", "GB]~n[", "GB\\~Ns", "GS\\r}w",
+        "GS\\v~w", "GIm~vk", "GI\\t|w", "GI\\t|{", "GI]|vk", "GI]|~c", "GI]|~k",
+        "GMq|r{", "GMj\\~o", "GLj]~o", "GJY|}o", "GJuv^w", "GJm}Ns", "GJm}nW",
+        "GJm}n[", "GJm~]w", "GJm~]{", "GJ]^nW", "GJ]^n[", "GJ~v~w", "GNz~v{",
+        "Geqzvo", "Ges~Vg", "Ges~Vk", "G`ze}w", "G`zV]w", "G`zV~w", "G`\\r|w",
+        "Gt\\~~w",
+    )
+
+    def test_matches_naive_where_it_fires(self, monkeypatch):
+        # the search and the decision against the oracle on graphs where the
+        # check ends the descent, which it does once on n = 7
+        graphs_ = [parse_graph6(s) for s in self.FIRES_AT_EIGHT]
+        assert len({_canonical(g.adj)[0] for g in graphs_}) == 50
+        assert all(g.n == 8 and is_connected(g) for g in graphs_)
+        fired = []
+        check = solver._exceeds_treewidth
+        monkeypatch.setattr(solver, "_exceeds_treewidth",
+                            lambda adj, k: fired.append(check(adj, k)) or fired[-1])
+        searches = 0
+        for g in graphs_:
+            numbers = []
+            for rule in Rule:
+                fired.clear()
+                k, combo, tried = naive_search(g, rule.value)
+                assert _search(g, rule) == (k, mask_of(combo), tried)
+                assert fired == [True]
+                searches += 1
+                numbers.append(k)
+            assert solver._numbers_differ(g) == (numbers[0] != numbers[1])
+        assert searches == 100
 
     @pytest.mark.parametrize("rule, witness, tested",
                              [(Rule.STANDARD, 0b101111, 100), (Rule.PSD, 0b11111, 99)])

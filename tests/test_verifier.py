@@ -26,6 +26,7 @@ from zforcing import (
     to_graph6,
 )
 from zforcing.classes import _canonical, _graph_classes, _rows_of_key
+from zforcing.documents import MODES
 from zforcing.verifier import MirrorStep
 
 
@@ -343,3 +344,33 @@ class TestEnumeratedCorpus:
         monkeypatch.setattr("zforcing.classes._graph_classes", refuse)
         with pytest.raises(ValueError, match="n <= 6"):
             run_corpus_enumerated(7, "corollary")
+
+
+class TestModeRecords:
+    """Each mode's decision, enumeration cap and class stream live in one
+    record, and every refusal names that record's cap."""
+
+    def test_one_record_per_documented_mode(self):
+        assert tuple(verifier._MODES) == MODES
+        caps = {mode: record.cap for mode, record in verifier._MODES.items()}
+        assert caps == {"theorem": 9, "corollary": 6, "monotonicity": 7}
+        assert [m for m, record in verifier._MODES.items() if record.claw_free_only] == ["theorem"]
+
+    def test_theorem_skips_claws_and_disconnected_graphs(self):
+        decide = verifier._MODES["theorem"].decide
+        assert decide(star_graph(3), False) is None
+        assert decide(from_edge_list(4, [(0, 1), (2, 3)]), True) is None
+        assert decide(path_graph(4), True) is False
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_out_of_range_refused_before_generation(self, monkeypatch, mode):
+        # one cap per mode: corollary refuses n = 8 naming 6, as it does n = 7
+        def refuse(*args, **kwargs):
+            raise AssertionError("no graph may be generated")
+
+        monkeypatch.setattr("zforcing.classes._graph_classes", refuse)
+        cap = verifier._MODES[mode].cap
+        for n in (0, cap + 1, cap + 2):
+            with pytest.raises(ValueError, match=rf"supports 1\.\.{cap} vertices \(n <= {cap}\) "
+                                                 rf"in {mode} mode, got {n}$"):
+                run_corpus_enumerated(n, mode)

@@ -51,7 +51,15 @@ def component_history(g: Graph, f: Chronology, x: int) -> ComponentHistory:
 
 def build_bundle(g: Graph, f: Chronology, x: int) -> PathBundle:
     """One path per initial blue vertex, extended through the component
-    history of x up to the step that forces x."""
+    history of x up to the step that forces x.
+
+    On a valid chronology every force into x's white component comes from a
+    path end, under either rule: a path end that forces into the component
+    has no other neighbour there; a vertex forced into another component
+    has no neighbour in x's; and x's component only shrinks, so every blue
+    neighbour of it is a path end. An AssertionError reports a chronology
+    that breaks this, as it does a path that extends twice in one step or
+    an x that does not end exactly one path."""
     hist = component_history(g, f, x)
     paths = [[v] for v in bits(f.initial)]
     endpoint_of = {v: i for i, v in enumerate(bits(f.initial))}
@@ -64,7 +72,7 @@ def build_bundle(g: Graph, f: Chronology, x: int) -> PathBundle:
                 continue
             i = snapshot.get(force.source)
             if i is None:
-                continue  # forced by a vertex no path currently ends at
+                raise AssertionError("every force into x's component must come from a path end")
             # one extension per path per step: a source has a unique psd
             # target inside a single white component
             if i in moved:

@@ -109,20 +109,13 @@ def _carry(labelings: list[tuple[int, ...]], twin: list[int]
 
 def _claw_through(adj: tuple[int, ...], k: int) -> bool:
     """Whether the graph adj has an induced claw through vertex k, given
-    that it has none without k. Such a claw has k as its center, or as a
-    leaf at some neighbour u of k whose other two leaves are nonadjacent
-    neighbours of u outside N[k]."""
-    if any(_claws(adj, 1 << k)):
-        return True
-    far = ~(adj[k] | 1 << k)
-    for u in bits(adj[k]):
-        leaves = adj[u] & far
-        while leaves:
-            a = leaves & -leaves
-            leaves ^= a
-            if leaves & ~adj[a.bit_length() - 1]:
-                return True
-    return False
+    that it has none without k. Such a claw has k as its center (the first
+    search), or as a leaf. The second search finds the claws centered at a
+    neighbour of k with all three leaves outside N(k). Each has k as a
+    leaf: every claw of adj contains k, and its center is not k. Each claw
+    with k as a leaf is among them: its leaves are pairwise nonadjacent, so
+    the other two lie outside N(k)."""
+    return any(_claws(adj, 1 << k)) or any(_claws(adj, adj[k], ~adj[k]))
 
 
 def _class_levels(n: int, claw_free: bool = False) -> Iterator[list[tuple[tuple[int, ...], int]]]:

@@ -322,15 +322,16 @@ def is_connected(g: Graph) -> bool:
     return reach(g.adj, 1, g.full_mask) == g.full_mask
 
 
-def _claws(adj: tuple[int, ...], centers: int) -> Iterator[Claw]:
-    """The induced claws centered in the mask centers: stars on four
-    vertices, a center adjacent to three pairwise nonadjacent leaves.
-    Centers ascending, leaf triples in lexicographic order."""
+def _claws(adj: tuple[int, ...], centers: int, leaves: int = -1) -> Iterator[Claw]:
+    """The induced claws centered in the mask centers with all three leaves
+    in the mask leaves: stars on four vertices, a center adjacent to three
+    pairwise nonadjacent leaves. Centers ascending, leaf triples in
+    lexicographic order."""
     while centers:
         low = centers & -centers
         centers ^= low
         center = low.bit_length() - 1
-        rem = adj[center]
+        rem = adj[center] & leaves
         if rem.bit_count() < 3:
             continue
         while rem:

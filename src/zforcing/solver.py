@@ -268,22 +268,18 @@ def forcing_number(g: Graph, rule: "Rule | str") -> SolverReport:
     again the lex-least minimum set."""
     rule = _rule(rule)
     start = time.perf_counter()
-    comps = components(g, g.full_mask)
-    if len(comps) == 1:
-        value, witness, _ = _search_min(g.adj, g.n, rule)
-        tested = _tested(g.n, witness)
-    else:
-        value = 0
-        witness = 0
-        tested = 0
-        for comp in comps:
-            sub, index = induced_subgraph(g, comp)
-            k, wit, _ = _search_min(sub.adj, sub.n, rule)
-            back = {new: old for old, new in index.items()}
-            value += k
-            tested += _tested(sub.n, wit)
-            for v in bits(wit):
-                witness |= 1 << back[v]
+    value = witness = tested = 0
+    for comp in components(g, g.full_mask):
+        whole = comp == g.full_mask
+        sub = g if whole else induced_subgraph(g, comp)[0]
+        k, wit, _ = _search_min(sub.adj, sub.n, rule)
+        value += k
+        tested += _tested(sub.n, wit)
+        if whole:
+            witness = wit
+        else:  # induced_subgraph keeps the old order of the ids
+            back = list(bits(comp))
+            witness |= mask_of(back[v] for v in bits(wit))
     elapsed_ms = (time.perf_counter() - start) * 1e3
     return SolverReport(rule, value, witness, tested, elapsed_ms)
 

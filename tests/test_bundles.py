@@ -9,6 +9,7 @@ import pytest
 from conftest import TWO_DIAMONDS_EDGES, two_diamonds_graph
 from naive import comps_of
 from zforcing import (
+    Chronology,
     Force,
     Rule,
     all_minimum_sets,
@@ -20,12 +21,20 @@ from zforcing import (
     enumerate_graphs,
     make_chronology,
     mask_of,
+    parse_graph6,
     path_graph,
     terminus,
     valid_forces,
 )
+from zforcing.classes import _graph_classes
 
 B0 = mask_of([1, 3, 5])
+
+# the 4-cycle 0-2-1-3 with a hand-built chronology that no rule admits:
+# 0 forces 2 and then 3, so the force into x = 1's component at step two
+# comes from 0, which no longer ends a path
+C4 = "C]"
+C4_STEPS = ((0, 2), (0, 3), (2, 1))
 
 
 def random_list(g, b, rule, rng):
@@ -51,6 +60,13 @@ class TestComponentHistory:
         hist = component_history(two_diamonds, chron, 3)
         assert hist.t_x == 0
         assert hist.comps == ()
+
+    @pytest.mark.parametrize("x", [3, -1])
+    def test_vertex_outside_graph_rejected(self, x):
+        g = path_graph(3)
+        chron, _ = closure(g, mask_of([0]), Rule.STANDARD)
+        with pytest.raises(ValueError, match=f"^vertex {x} outside the graph$"):
+            component_history(g, chron, x)
 
     def test_unforced_vertex_rejected(self):
         g = path_graph(3)
@@ -100,6 +116,28 @@ class TestBuildBundle:
             for path in bundle.paths:
                 for u, v in zip(path, path[1:]):
                     assert two_diamonds.has_edge(u, v)
+
+    def test_path_end_check_never_fires(self):
+        # every class to five vertices, every nonempty blue set, both
+        # rules, the greedy closure and (when it forces everything) the lex
+        # list, and every vertex the run colours
+        for n in range(1, 6):
+            for g, _ in _graph_classes(n):
+                for b in range(1, 1 << n):
+                    for rule in Rule:
+                        chron, states = closure(g, b, rule)
+                        chrons = [chron]
+                        if states[-1] == g.full_mask:
+                            chrons.append(chronological_list(g, b, rule))
+                        for chron in chrons:
+                            for x in bits(states[-1]):
+                                build_bundle(g, chron, x)
+
+    def test_path_end_check_fires_on_a_hand_built_chronology(self):
+        chron = Chronology(1, tuple(frozenset([Force(*f)]) for f in C4_STEPS), Rule.PSD)
+        with pytest.raises(AssertionError,
+                           match="^every force into x's component must come from a path end$"):
+            build_bundle(parse_graph6(C4), chron, 1)
 
 
 class TestTerminus:
@@ -194,6 +232,23 @@ except AssertionError as exc:
                              text=True, timeout=60)
         assert run.returncode == 0, run.stderr
         assert run.stdout.splitlines() == ["1", "AssertionError: x must force w* at step t"]
+
+    def test_path_end_check_survives_optimize(self):
+        script = f"""
+import sys
+from zforcing import Chronology, Force, Rule, build_bundle, parse_graph6
+steps = tuple(frozenset([Force(*f)]) for f in {C4_STEPS!r})
+print(sys.flags.optimize)
+try:
+    print(build_bundle(parse_graph6({C4!r}), Chronology(1, steps, Rule.PSD), 1))
+except AssertionError as exc:
+    print("AssertionError:", exc)
+"""
+        run = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True,
+                             text=True, timeout=60)
+        assert run.returncode == 0, run.stderr
+        assert run.stdout.splitlines() == [
+            "1", "AssertionError: every force into x's component must come from a path end"]
 
 
 class TestHistoryMatchesSetReference:

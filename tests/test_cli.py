@@ -185,6 +185,11 @@ class TestTraceAndList:
         assert code == 2
         assert "error:" in err
 
+    def test_empty_blue_list(self, capsys, edges_file):
+        code, doc, err = run_cli(capsys, ["trace", "--blue", ",", "--edges", edges_file])
+        assert (code, doc) == (2, None)
+        assert err == "error: --blue must name at least one vertex\n"
+
 
 class TestBundle:
     def test_frozen_document(self, capsys, edges_file):
@@ -244,6 +249,11 @@ class TestImproveConnectify:
                      "--edges", p4_file])
         assert code == 2
         assert "error:" in err
+
+    def test_improve_blue_names_every_vertex(self, capsys, star_file):
+        code, doc, err = run_cli(capsys, ["improve", "--blue", "1,2,3,4", "--edges", star_file])
+        assert (code, doc) == (2, None)
+        assert err == "error: g - s has no vertices\n"
 
 
 class TestClawsPerfect:

@@ -84,6 +84,12 @@ class TestValidForces:
             got = {(f.source, f.target) for f in valid_forces(g, blue, rule)}
             assert got == naive_valid_forces(g, bset, name)
 
+    @pytest.mark.parametrize("rule", list(Rule))
+    @pytest.mark.parametrize("blue", [1 << 3, -1])
+    def test_blue_outside_graph_rejected(self, rule, blue):
+        with pytest.raises(ValueError, match="^blue set mentions vertices outside the graph$"):
+            valid_forces(path_graph(3), blue, rule)
+
 
 class TestApplyStep:
     def test_applies_and_advances_time(self, two_diamonds):
@@ -175,6 +181,12 @@ class TestClosure:
             _, expansion = closure(g, blue, rule)
             assert closure_mask(g, blue, rule) == expansion[-1]
             assert closure_mask(g, blue, rule) == mask_of(naive_closure(g, set(bits(blue)), name))
+
+    @pytest.mark.parametrize("rule", list(Rule))
+    @pytest.mark.parametrize("blue", [1 << 3, -1])
+    def test_blue_outside_graph_rejected(self, rule, blue):
+        with pytest.raises(ValueError, match="^blue set mentions vertices outside the graph$"):
+            closure(path_graph(3), blue, rule)
 
     def test_is_forcing_set(self, two_diamonds):
         assert is_forcing_set(two_diamonds, B0, Rule.PSD)

@@ -117,6 +117,14 @@ class TestGraph6:
         g = parse_graph6("B" + chr(63 + 0b001000))
         assert g.edges() == [(1, 2)]
 
+    @pytest.mark.parametrize("n, header", [(63, "~??~"), (64, "~?@?")])
+    def test_four_byte_header_roundtrip(self, n, header):
+        g = cycle_graph(n)
+        line = to_graph6(g)
+        assert line[:4] == header
+        assert parse_graph6(line) == g
+        assert to_graph6(parse_graph6(line)) == line
+
     @given(graphs(max_n=7))
     def test_roundtrip(self, g):
         line = to_graph6(g)
@@ -202,6 +210,21 @@ class TestClaws:
                 centers = {c for c, _ in expect}
                 assert [any(_claws(g.adj, 1 << v)) for v in range(n)] == [
                     v in centers for v in range(n)]
+
+    def test_leaf_mask_matches_reference(self):
+        # every class to six vertices, with the full masks, random masks,
+        # and the neighbours of a vertex as centers with leaves outside them
+        rng = random.Random(28)
+        for n in range(1, 7):
+            for g, _ in _graph_classes(n):
+                claws = naive_claws(g)
+                masks = [(g.full_mask, -1)]
+                masks += [(rng.getrandbits(n), rng.getrandbits(n)) for _ in range(3)]
+                masks += [(g.adj[v], ~g.adj[v]) for v in rng.sample(range(n), min(n, 2))]
+                for centers, leaves in masks:
+                    expect = sorted((c, trio) for c, trio in claws if centers >> c & 1
+                                    and all(leaves >> v & 1 for v in trio))
+                    assert list(_claws(g.adj, centers, leaves)) == expect
 
     @given(graphs(max_n=7))
     def test_has_claw_matches_enumeration(self, g):
@@ -297,6 +320,17 @@ class TestGraphClasses:
                     child = tuple(row | 1 << k if nbrs >> v & 1 else row
                                   for v, row in enumerate(g.adj)) + (nbrs,)
                     assert _claw_through(child, k) == any(_claws(child, nbrs | 1 << k))
+
+    def test_claw_through_matches_reference(self):
+        # every child of every claw-free class on up to 6 vertices, against
+        # the brute-force claws of the child
+        for k in range(1, 7):
+            for g, _ in _graph_classes(k, claw_free=True):
+                for nbrs in range(1 << k):
+                    child = tuple(row | 1 << k if nbrs >> v & 1 else row
+                                  for v, row in enumerate(g.adj)) + (nbrs,)
+                    expect = any(k in (c, *trio) for c, trio in naive_claws(Graph(k + 1, child)))
+                    assert _claw_through(child, k) == expect
 
     @pytest.mark.parametrize("claw_free, top", [(False, 7), (True, 8)],
                              ids=["all", "claw_free"])
@@ -511,6 +545,54 @@ class TestClassCountTransforms:
         if claw_free:
             assert conn_classes[1:] == [1, 1, 2, 5, 14, 50, 191]
             assert labeled[1:] == [1, 2, 8, 60, 769, 15272, 429682]
+
+
+class TestInputRejections:
+    """One case per rejection: each raises ValueError with its message."""
+
+    @pytest.mark.parametrize("make, message", [
+        pytest.param(lambda: Graph(0, []), "vertex count 0 outside 1..64", id="graph-n-0"),
+        pytest.param(lambda: Graph(65, [0] * 65), "vertex count 65 outside 1..64",
+                     id="graph-n-65"),
+        pytest.param(lambda: Graph(2, [0]), "1 adjacency rows for 2 vertices", id="graph-rows"),
+        pytest.param(lambda: Graph(2, [0b100, 0]), "adjacency row of 0 mentions vertices >= 2",
+                     id="graph-row-past-n"),
+        pytest.param(lambda: Graph(2, [0b1, 0]), "self-loop at vertex 0", id="graph-self-loop"),
+        pytest.param(lambda: Graph(2, [0b10, 0]), "asymmetric adjacency between 0 and 1",
+                     id="graph-asymmetric"),
+        pytest.param(lambda: graph_from_edge_mask(0, 0), "vertex count 0 outside 1..64",
+                     id="edge-mask-n-0"),
+        pytest.param(lambda: graph_from_edge_mask(65, 0), "vertex count 65 outside 1..64",
+                     id="edge-mask-n-65"),
+        pytest.param(lambda: graph_from_edge_mask(3, -1), "edge mask -1 out of range for n=3",
+                     id="edge-mask-negative"),
+        pytest.param(lambda: graph_from_edge_mask(3, 8), "edge mask 8 out of range for n=3",
+                     id="edge-mask-too-wide"),
+        pytest.param(lambda: parse_graph6("B\u00e9"), "graph6 line is not ascii",
+                     id="graph6-non-ascii"),
+        pytest.param(lambda: parse_graph6("~~??????"), "unsupported graph6 header",
+                     id="graph6-eight-byte-header"),
+        pytest.param(lambda: parse_graph6("?"), "graph6 vertex count 0 outside 1..64",
+                     id="graph6-n-0"),
+        pytest.param(lambda: parse_edge_list("x 1\n1 2\n"), "edge-list header 'x 1' is not 'n m'",
+                     id="edges-header-not-int"),
+        pytest.param(lambda: parse_edge_list("2 1 0\n1 2\n"),
+                     "edge-list header '2 1 0' is not 'n m'", id="edges-header-three-fields"),
+        pytest.param(lambda: parse_edge_list("3 1\n1 2 3\n"), "bad edge line '1 2 3'",
+                     id="edges-line-three-fields"),
+        pytest.param(lambda: parse_edge_list("2 1\n1 x\n"), "bad edge line '1 x'",
+                     id="edges-line-not-int"),
+        pytest.param(lambda: induced_subgraph(path_graph(3), 0), "induced set is empty",
+                     id="induced-empty"),
+        pytest.param(lambda: components(path_graph(3), 1 << 3),
+                     "component set mentions vertices outside the graph", id="components-outside"),
+        pytest.param(lambda: cycle_graph(2), "cycles need at least 3 vertices", id="cycle-2"),
+        pytest.param(lambda: star_graph(0), "stars need at least one leaf", id="star-0"),
+    ])
+    def test_rejected(self, make, message):
+        with pytest.raises(ValueError) as info:
+            make()
+        assert str(info.value).startswith(message)
 
 
 class TestBuilders:

@@ -17,6 +17,7 @@ from zforcing import (
     bits,
     boundary_set,
     chronological_list,
+    closure,
     components,
     connected_complement_set,
     connected_complement_trace,
@@ -98,6 +99,15 @@ class TestPieces:
         for x in (9, -1):
             with pytest.raises(ValueError, match=f"vertex {x} outside the graph"):
                 first_saturation_time(g, f, x, 0)
+
+    def test_saturation_never_reached(self):
+        # the middle of a path has two white neighbours and forces nothing
+        g = path_graph(3)
+        f, _ = closure(g, mask_of([1]), Rule.STANDARD)
+        assert f.steps == ()
+        with pytest.raises(ValueError,
+                           match="^closed neighborhood never saturates; not a forcing run$"):
+            first_saturation_time(g, f, 1, 0)
 
     def test_saturation_time(self):
         g = path_graph(3)

@@ -33,13 +33,18 @@ one BFS.
 Sizes are visited in this order:
 
 - First the bound is set: b = _treewidth_bound <= tw(G) for a graph with
-  at least 10 edges and at least as many edges as vertices, the min
-  degree for the rest. b is at least the min degree, the first degree it
-  records. A graph with as many edges as vertices has a cycle; a
-  connected one with fewer is a tree, whose b is at most 1. A graph with
-  fewer than 10 edges has b <= 3, since a minor of min degree 4 has at
-  least 10 edges, so its b could skip only sizes 1 and 2, never a size
-  of the descent below.
+  at least 10 edges and at least n + 2, b = 2 for one with at least 10
+  and n or n + 1, the min degree for the rest. The contraction's b is at
+  least the min degree, the first degree it records. A graph with as many
+  edges as vertices has a cycle, so tw(G) >= 2; a connected one with
+  fewer is a tree, whose b is at most 1. A connected graph with at most
+  n + 1 edges has m - n + 1 <= 2 independent cycles; a minor has no
+  more, and K4 has 3, so tw(G) <= 2 and the contraction would give 2.
+  Its average degree 2m/n is below 3, so 2 is at least its min degree.
+  On a disconnected input 2 is only a lower bound: K4 beside a path of 6
+  vertices has tw = 3. A graph with fewer than 10 edges has b <= 3,
+  since a minor of min degree 4 has at least 10 edges, so its b could
+  skip only sizes 1 and 2, never a size of the descent below.
 - Every size below the bound fails without a search, since
   min degree <= b <= tw(G) <= Z+(G) <= Z(G) (tree-width; see below).
 - Sizes from the bound up to 2 are tried ascending, and the first success
@@ -48,7 +53,7 @@ Sizes are visited in this order:
   set, or at the bound. A superset of a forcing set forces under both
   rules, so Z is the last size that had one. Only size Z - 1 is searched
   in full, and not even that when Z = b.
-- When b was found, size b + 1 forces and size b is next,
+- When the contraction gave b, size b + 1 forces and size b is next,
   `_exceeds_treewidth(adj, b)` runs once; if it proves tw(G) > b, the
   descent stops with Z = b + 1 and size b is never searched. It runs only
   when n > b + 2: tw(G) <= n - 1, and tw(G) = n - 1 only for K_n, whose b
@@ -56,8 +61,8 @@ Sizes are visited in this order:
 
 `_search_min` returns the bound it used with the size and witness: the
 min degree when the graph has fewer than 10 edges or fewer edges than
-vertices, b + 1 when the check fired, b otherwise. Each is at most
-tw(G) <= Z+(G).
+vertices, 2 when it has n or n + 1, b + 1 when the check fired, b
+otherwise. Each is at most tw(G) <= Z+(G).
 
 tw(G) <= Z+(G): let S psd-force G and W be a component of G - S. The first
 force into W is some u -> w with N(u) & W = {w}. Each component of W - w is
@@ -161,7 +166,12 @@ def _search_min(adj: tuple[int, ...], n: int, rule: Rule) -> tuple[int, int, int
     forts: list[int] = []  # every size's failed closures prune every later size
     edges = sum(map(int.bit_count, adj)) // 2
     dense = edges >= max(10, n)  # a cycle, and enough edges for b >= 4; see above
-    bound = _treewidth_bound(adj) if dense else min(map(int.bit_count, adj))
+    if not dense:
+        bound = min(map(int.bit_count, adj))
+    elif edges <= n + 1:  # if connected, one or two independent cycles: b = 2; see above
+        bound = 2
+    else:
+        bound = _treewidth_bound(adj)
     for k in range(max(bound, 1), min(n, 2) + 1):
         witness = next(_forcing_sets_of_size(adj, n, k, psd, forts), 0)
         if witness:

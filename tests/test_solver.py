@@ -184,6 +184,19 @@ def _trees_and_unicyclic(seed, sizes, per_size):
     return out
 
 
+def _plus_edge(g, rng):
+    """g with one more edge, drawn uniformly from its non-edges."""
+    u, v = rng.choice([(u, v) for u, v in itertools.combinations(range(g.n), 2)
+                       if not g.has_edge(u, v)])
+    return from_edge_list(g.n, g.edges() + [(u, v)])
+
+
+# K4 beside a path on 6 vertices: n = 10 and m = 11, so b = 2 comes from the
+# edge count, below the contraction's 3 but still at most tw = 3
+K4_AND_P6 = from_edge_list(10, list(itertools.combinations(range(4), 2))
+                           + [(v, v + 1) for v in range(4, 9)])
+
+
 class TestPrunedScan:
     """The lex scan skips candidates that miss a fort, the complement of a
     failed closure of the same search; value, witness, tested and the
@@ -194,7 +207,12 @@ class TestPrunedScan:
                               (Rule.STANDARD, range(3, 11), 4)],
                              ids=["psd", "standard"])
     def test_matches_reference(self, rule, sizes, per_size):
-        for g in _trees_and_unicyclic(9, sizes, per_size):
+        # trees, then one and two extra edges: from 10 edges up, m <= n + 1
+        # sets b = 2 without the contraction, as on the disconnected K4_AND_P6
+        graphs_ = _trees_and_unicyclic(9, sizes, per_size)
+        rng = random.Random(9)
+        graphs_ += [_plus_edge(g, rng) for g in graphs_[1::2] if g.n > 3]
+        for g in graphs_ + [K4_AND_P6]:
             k, combo, tried = naive_search(g, rule.value)
             assert _search(g, rule) == (k, mask_of(combo), tried)
             got = [tuple(bits(m)) for m in all_minimum_sets(g, rule)]
@@ -380,6 +398,29 @@ def _random_connected(seed, count, sizes, density):
     return out
 
 
+def _sparse_connected_classes(top):
+    """One adjacency tuple per connected class with 3 <= n <= top and
+    n <= m <= n + 1. Each tree on n vertices is one on n - 1 with a leaf
+    added, and each such graph is a tree with one or two edges added."""
+    def classes(rows):
+        return list({_canonical(adj)[0]: adj for adj in rows}.values())
+
+    def plus_leaf(adj):
+        n = len(adj)
+        return [adj[:v] + (adj[v] | 1 << n,) + adj[v + 1:] + (1 << v,) for v in range(n)]
+
+    def plus_edge(adj):
+        return [tuple(row | (w == u) << v | (w == v) << u for w, row in enumerate(adj))
+                for u, v in itertools.combinations(range(len(adj)), 2) if not adj[u] >> v & 1]
+
+    trees, out = [(0b10, 0b01)], []
+    for _ in range(3, top + 1):
+        trees = classes(a for t in trees for a in plus_leaf(t))
+        unicyclic = classes(a for t in trees for a in plus_edge(t))
+        out += unicyclic + classes(a for u in unicyclic for a in plus_edge(u))
+    return out
+
+
 @pytest.fixture(scope="module")
 def exact_treewidths():
     """(class, exact tree-width) for every class with n <= 7."""
@@ -457,34 +498,68 @@ class TestTreewidthBound:
     def test_not_computed_without_need(self, monkeypatch):
         # trees have fewer edges than vertices and K_{1,5} has Z = 4 but
         # too few edges for a bound of 4; psd trees have Z+ = 1 and
-        # unicyclic graphs Z+ = 2, so size 2 ends the search
+        # unicyclic graphs Z+ = 2. From 10 edges up, a graph with one or two
+        # extra edges (n <= m <= n + 1) takes b = 2 from its edge count, the
+        # value the contraction would give, so size 1 is never tried
         def refuse(*args):
-            raise AssertionError("bound computed")
+            raise AssertionError("contraction run")
         graphs_ = _trees_and_unicyclic(5, range(3, 30), 1)
         trees, unicyclic = graphs_[::2], graphs_[1::2]
+        rng = random.Random(5)
+        two_extra = [_plus_edge(g, rng) for g in unicyclic if g.n > 3]
         real = solver._treewidth_bound
         monkeypatch.setattr(solver, "_treewidth_bound", refuse)
         monkeypatch.setattr(solver, "_exceeds_treewidth", refuse)
         for g in trees:
             assert forcing_number(g, Rule.PSD).value == 1
         assert forcing_number(star_graph(5), Rule.STANDARD).value == 4
-        sparse = [g for g in unicyclic if g.edge_count < 10]
-        for g in sparse:
+        for g in unicyclic:
             assert forcing_number(g, Rule.PSD).value == 2
-        # with 10 edges or more, b = 2 is found once, before size 1 is tried
-        bounds, sizes = [], set()
+        sizes = set()
         close = solver._close
-        monkeypatch.setattr(solver, "_treewidth_bound",
-                            lambda adj: bounds.append(real(adj)) or bounds[-1])
         monkeypatch.setattr(solver, "_close",
                             lambda adj, blue, *rest: sizes.add(blue.bit_count())
                             or close(adj, blue, *rest))
-        for g in unicyclic[len(sparse):]:
-            bounds.clear()
+        dense = [g for g in unicyclic + two_extra if g.edge_count >= 10]
+        for g in dense:
             sizes.clear()
-            assert g.edge_count >= 10
-            assert forcing_number(g, Rule.PSD).value == 2
-            assert bounds == [2] and min(sizes) == 2
+            assert _search_min(g.adj, g.n, Rule.PSD)[2] == 2 == real(g.adj)
+            assert min(sizes) == 2
+        assert len(dense) == 41
+
+    def test_two_with_one_or_two_extra_edges(self, monkeypatch):
+        # a connected graph with n <= m <= n + 1 has a cycle, so tw >= 2, and
+        # at most two independent cycles, so no K4 minor (K4 has three) and
+        # tw <= 2: the contraction gives the b = 2 that _search_min takes
+        # from the edge count
+        classes = _sparse_connected_classes(8)
+        assert len(classes) == 471
+        rng = random.Random(29)
+        unicyclic = _trees_and_unicyclic(29, [rng.randint(4, 40) for _ in range(1000)], 1)[1::2]
+        randoms = unicyclic + [_plus_edge(g, rng) for g in unicyclic]
+        assert len(randoms) == 2000
+        for adj in classes + [g.adj for g in randoms]:
+            assert solver._treewidth_bound(adj) == 2
+        # at m = n + 2 a K4 minor fits: K4 with two edges subdivided has
+        # b = 3, and with all six subdivided it has the 10 edges that make
+        # the search run the contraction, once
+        k4 = list(itertools.combinations(range(4), 2))
+        assert solver._treewidth_bound(
+            from_edge_list(6, k4[1:5] + [(0, 4), (4, 1), (2, 5), (5, 3)]).adj) == 3
+        subdivided = from_edge_list(10, [e for i, (u, v) in enumerate(k4)
+                                         for e in ((u, 4 + i), (4 + i, v))])
+        calls = []
+        real = solver._treewidth_bound
+        monkeypatch.setattr(solver, "_treewidth_bound",
+                            lambda adj: calls.append(real(adj)) or calls[-1])
+        assert real(K4_AND_P6.adj) == 3
+        for g, bound, contracted in ((subdivided, 3, [3]), (K4_AND_P6, 2, [])):
+            for rule in Rule:
+                calls.clear()
+                k, witness, got = _search_min(g.adj, g.n, rule)
+                assert (got, calls) == (bound, contracted)
+                value, combo, tried = naive_search(g, rule.value)
+                assert (k, witness, solver._tested(g.n, witness)) == (value, mask_of(combo), tried)
 
     @pytest.mark.parametrize("rule", list(Rule), ids=lambda r: r.value)
     def test_sizes_below_the_bound_skipped_on_classes(self, monkeypatch, rule):

@@ -1,7 +1,9 @@
 from __future__ import annotations
 
 import itertools
+import math
 import random
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given
@@ -247,7 +249,9 @@ class TestPrunedScan:
 
         monkeypatch.setattr(solver, "_close", pinned)
         forts = 0
-        for g in _random_connected(11, 16, range(9, 12), (0.3, 0.7)):
+        # 20 graphs: the tree-width check skips many size-b scans, and the
+        # first 16 alone now fail 97 closures
+        for g in _random_connected(11, 20, range(9, 12), (0.3, 0.7)):
             for rule in Rule:
                 failed.clear()
                 k, combo, tried = naive_search(g, rule.value)
@@ -437,8 +441,7 @@ class TestTreewidthBound:
             assert solver._treewidth_bound(g.adj) <= tw
 
     def test_bound_pinned_on_classes(self, exact_treewidths):
-        # the exact values beside the loose count above: one contraction
-        # loop serves both b and the improved-graph check, and b must not move
+        # the exact values beside the loose count above: b must not move
         bounds = [solver._treewidth_bound(g.adj) for g, _ in exact_treewidths]
         assert (len(bounds), sum(bounds)) == (1252, 3385)
         assert sum(b == tw for b, (_, tw) in zip(bounds, exact_treewidths)) == 1251
@@ -600,25 +603,24 @@ class TestTreewidthBound:
 
 
 class TestExceedsTreewidth:
-    """The improved-graph check proves tw(G) > k, and a proof at k = b ends
-    the descent at size b + 1."""
+    """The elimination search decides tw(G) > k within its budget, and a
+    proof at k = b ends the descent at size b + 1."""
 
     def test_fires_only_above_exact_treewidth(self, exact_treewidths):
-        fired = 0
+        # and always above it: every pair is decided within the budget
+        pairs = fired = 0
         for g, tw in exact_treewidths:
             for k in range(g.n):
-                if solver._exceeds_treewidth(g.adj, k):
-                    assert tw > k
-                    fired += 1
-        assert len(exact_treewidths) == 1252 and fired == 3386
+                assert solver._exceeds_treewidth(g.adj, k) == (tw > k), (g, k)
+                pairs += 1
+                fired += tw > k
+        assert len(exact_treewidths) == 1252 and (pairs, fired) == (8475, 3386)
 
     def test_known_values(self):
         g = parse_graph6("FNz~o")  # tree-width 5, contraction degeneracy 4
         assert solver._exceeds_treewidth(g.adj, 4)
         assert not solver._exceeds_treewidth(g.adj, 5)
-        # tree-width 5, bound 4; proving tw > 4 needs a join at a new
-        # neighbour of a merged vertex, not only joins at the merged vertex
-        g = parse_graph6("HSkm^LT")
+        g = parse_graph6("HSkm^LT")  # tree-width 5, bound 4
         assert solver._treewidth_bound(g.adj) == 4
         assert solver._exceeds_treewidth(g.adj, 4)
         assert solver._exceeds_treewidth(complete_graph(7).adj, 5)
@@ -649,8 +651,9 @@ class TestExceedsTreewidth:
         assert len(calls) == 35
         assert all(n > k + 2 for n, k in calls)
 
-    # every connected class on 8 vertices on which the check fires at k = b,
-    # found by enumerating n = 8 once, so that this suite need not
+    # every connected class on 8 vertices on which the improved-graph check,
+    # this check's predecessor, fired at k = b, found by enumerating n = 8
+    # once, so that this suite need not
     FIRES_AT_EIGHT = (
         "G@\\r~w", "G@^vvo", "G@\\~vg", "G@\\~vk", "GDh~vo", "GDl~fS", "GD^fvw",
         "GD^f~w", "GBXzt{", "GBX|~o", "GBX|~s", "GBXz~o", "GBzd~w", "GBnf^w",
@@ -661,12 +664,20 @@ class TestExceedsTreewidth:
         "Geqzvo", "Ges~Vg", "Ges~Vk", "G`ze}w", "G`zV]w", "G`zV~w", "G`\\r|w",
         "Gt\\~~w",
     )
+    # the other 13 connected classes on 8 vertices with tw > b, on which the
+    # improved-graph check did not fire and this one does, found the same way
+    FIRES_NEWLY_AT_EIGHT = (
+        "G?Lruo", "GCrb`o", "G@Xucw", "G@Xs}c", "GD^fnW", "GBnnfs", "GT\\~Uk",
+        "GRpk~k", "GRY^]w", "GIN\\vo", "GIm~vg", "GMj\\r{", "G]hky{",
+    )
 
     def test_matches_naive_where_it_fires(self, monkeypatch):
         # the search and the decision against the oracle on graphs where the
         # check ends the descent, which it does once on n = 7
-        graphs_ = [parse_graph6(s) for s in self.FIRES_AT_EIGHT]
-        assert len({_canonical(g.adj)[0] for g in graphs_}) == 50
+        graphs_ = [parse_graph6(s) for s in self.FIRES_AT_EIGHT + self.FIRES_NEWLY_AT_EIGHT]
+        assert len({_canonical(g.adj)[0] for g in graphs_}) == 63
+        for g in graphs_:
+            assert naive_treewidth(g) > solver._treewidth_bound(g.adj)
         assert all(g.n == 8 and is_connected(g) for g in graphs_)
         fired = []
         check = solver._exceeds_treewidth
@@ -683,7 +694,7 @@ class TestExceedsTreewidth:
                 searches += 1
                 numbers.append(k)
             assert solver._numbers_differ(g) == (numbers[0] != numbers[1])
-        assert searches == 100
+        assert searches == 126
 
     @pytest.mark.parametrize("rule, witness, tested",
                              [(Rule.STANDARD, 0b101111, 100), (Rule.PSD, 0b11111, 99)])
@@ -701,3 +712,28 @@ class TestExceedsTreewidth:
         report = forcing_number(g, rule)
         assert (report.value, report.witness, report.tested) == (5, witness, tested)
         assert min(sizes) == 5
+
+    @pytest.mark.parametrize("rule", list(Rule), ids=lambda r: r.value)
+    def test_out_of_budget_proves_nothing(self, monkeypatch, rule):
+        # b = 4 < tw = 5, and the search needs 8 of its C(8, 4) = 70 states
+        # to prove it: with fewer it gives up, size 4 is scanned as it would
+        # be without the check, and the search stays exact
+        g = parse_graph6("GD^fnW")
+        assert (solver._treewidth_bound(g.adj), naive_treewidth(g)) == (4, 5)
+        value, combo, tried = naive_search(g, rule.value)
+        asked = []
+        sizes = set()
+        close = solver._close
+        monkeypatch.setattr(solver, "_close",
+                            lambda adj, blue, *rest: sizes.add(blue.bit_count())
+                            or close(adj, blue, *rest))
+        for budget, fires in ((math.comb(8, 4), True), (8, True), (7, False), (1, False)):
+            with monkeypatch.context() as patched:
+                patched.setattr(solver, "math", SimpleNamespace(
+                    comb=lambda n, k: asked.append((n, k)) or budget))
+                assert solver._exceeds_treewidth(g.adj, 4) is fires
+                sizes.clear()
+                k, witness, bound = _search_min(g.adj, g.n, rule)
+            assert (k, witness, solver._tested(g.n, witness)) == (value, mask_of(combo), tried)
+            assert (bound, min(sizes)) == ((5, 5) if fires else (4, 4))
+        assert set(asked) == {(8, 4)}

@@ -238,7 +238,7 @@ class TestNumbersDiffer:
         assert not verifier._numbers_differ(two_diamonds_graph())
 
     def test_matches_naive_at_seven(self):
-        # n = 7 is where the bound, the improved-graph check and the fort
+        # n = 7 is where the bound, the tree-width check and the fort
         # list first prune much; a decision that stops seeing Z != Z+ fails
         differ = 0
         for g, _ in _graph_classes(7):
@@ -250,7 +250,7 @@ class TestNumbersDiffer:
 
     def test_tree_width_bound_found_once(self, monkeypatch):
         # the psd step reads the bound the standard search returned and
-        # computes none of its own, nor runs the improved-graph check
+        # computes none of its own, nor runs the tree-width check
         calls, checks = [], []
         real, check = solver._treewidth_bound, solver._exceeds_treewidth
 

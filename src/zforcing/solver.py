@@ -57,8 +57,9 @@ Sizes are visited in this order:
   `_exceeds_treewidth(adj, b)` runs once; if it proves tw(G) > b, the
   descent stops with Z = b + 1 and size b is never searched. It runs only
   when n > b + 2: tw(G) <= n - 1, and tw(G) = n - 1 only for K_n, whose b
-  is n - 1. It visits at most C(n, b) states, the candidates of the scan
-  it may replace; out of budget, it proves nothing and the scan runs.
+  is n - 1. Its search visits at most C(n, b) states, the candidates of
+  the scan it may replace, and at most n^2; out of budget, it proves
+  nothing and the scan runs.
 
 `_search_min` returns the bound it used with the size and witness: the
 min degree when the graph has fewer than 10 edges or fewer edges than
@@ -72,16 +73,29 @@ width <= |S| whose root bag holds S - u + w; hang each below a bag S + w.
 A bag S joins these for every W. Deleting a vertex or contracting an edge
 never raises tree-width, and min degree <= tree-width.
 
-`_exceeds_treewidth(adj, k)` decides tw(G) <= k by a depth-first search
-over elimination orderings. Eliminating a vertex joins its neighbours into
-a clique and deletes it, and tw(G) is the least, over all orders, of the
+The check first runs the contraction with the improved-graph rule
+(Clautiaux, Carlier, Moukrim and Negre, 2003), as the LBN+ bound of
+Bodlaender and Koster ("Treewidth computations II. Lower bounds", 2011)
+does: if tw(G) <= k and non-adjacent v, w share more than k neighbours,
+then tw(G + vw) <= k. Take a decomposition of width k with no bag holding
+both v and w. All of w's bags lie past one tree edge (i, j) with v in bag
+X_i, j on w's side; each common neighbour has bags on both sides, so it is
+in X_i, and X_i would hold k + 2 vertices. So a bag holds both and G + vw
+has the same decomposition. Joining and contracting keep tw <= k, so every
+graph reached has a vertex of degree <= k.
+
+When that does not fire, a depth-first search over elimination orderings
+decides tw(G) <= k. Eliminating a vertex joins its neighbours into a
+clique and deletes it, and tw(G) is the least, over all orders, of the
 most neighbours a vertex has when it goes. So each step eliminates a vertex
 with at most k neighbours, and a branch succeeds once at most k + 1
 vertices are alive. The graph reached depends only on the set eliminated,
 so alive sets shown to fail are kept and not searched again. A vertex v
 with at most k neighbours that form a clique, less at most one w, decides
 its state alone: eliminating it leaves a subgraph or a minor (contract vw),
-so when v's branch fails the state fails.
+so when v's branch fails the state fails. A state costs O(nk) bit
+operations besides its children, so with at most n^2 states the check
+stays polynomial in time and memory, as the contraction alone was.
 
 Either way the witness is the lexicographically least minimum set.
 `tested` is the witness's 1-based rank among the nonempty vertex sets in
@@ -204,36 +218,21 @@ def _numbers_differ(g: Graph) -> bool:
 
 def _treewidth_bound(adj: tuple[int, ...]) -> int:
     """A lower bound on tree-width, the contraction degeneracy with
-    least-common-neighbour contraction (Bodlaender, Koster and Wolle, 2006).
-    Take a least-degree vertex, record its degree, and contract it into the
-    neighbour it shares fewest neighbours with, or delete it if isolated;
-    ties go to the lowest id. Every graph on the way is a minor of the input,
-    so no degree recorded exceeds tw(G)."""
-    rows = list(adj)
-    deg = [row.bit_count() for row in rows]
-    left = list(range(len(rows)))
-    best = 0
-    while len(left) > best + 1:  # no degree left can exceed best
-        v = min(left, key=deg.__getitem__)
-        best = max(best, deg[v])
-        left.remove(v)
-        nbrs = rows[v]
-        if nbrs:
-            u = min(bits(nbrs), key=lambda w: (rows[w] & nbrs).bit_count())
-            for w in bits(nbrs):
-                rows[w] = rows[w] & ~(1 << v) | 1 << u
-                deg[w] = rows[w].bit_count()
-            rows[u] = (rows[u] | nbrs) & ~(1 << u)
-            deg[u] = rows[u].bit_count()
-    return best
+    least-common-neighbour contraction (Bodlaender, Koster and Wolle, 2006):
+    _contract without joins, as no pair shares n neighbours. Every graph on
+    the way is a minor of the input, so no degree recorded exceeds tw(G)."""
+    return _contract(adj, len(adj))
 
 
 def _exceeds_treewidth(adj: tuple[int, ...], k: int) -> bool:
-    """True only if tw(G) > k: the search ends within its budget and finds
-    no elimination ordering of width <= k (see the module docstring). The
-    budget is C(n, k) states, or n at k = 0, where C(n, 0) = 1 would stop
-    the search before it deletes the isolated vertices."""
-    budget = math.comb(len(adj), max(k, 1))
+    """True only if tw(G) > k: the improved-graph contraction proves it, or
+    the search ends within its budget and finds no elimination ordering of
+    width <= k (see the module docstring). The budget is C(n, k) states, or
+    n at k = 0, where C(n, 0) = 1 would stop the search before it deletes
+    the isolated vertices, and at most n^2."""
+    if _contract(adj, k) > k:
+        return True
+    budget = min(math.comb(len(adj), max(k, 1)), len(adj) ** 2)
     dead: set[int] = set()  # alive sets whose graph has tree-width > k
 
     def fits(rows: list[int], alive: int) -> bool:
@@ -261,6 +260,54 @@ def _exceeds_treewidth(adj: tuple[int, ...], k: int) -> bool:
         return False
 
     return not fits(list(adj), (1 << len(adj)) - 1)
+
+
+def _contract(adj: tuple[int, ...], k: int) -> int:
+    """Take a least-degree vertex, record its degree, and contract it into
+    the neighbour it shares fewest neighbours with, or delete it if isolated;
+    ties go to the lowest id. Before each pick, join every non-adjacent pair
+    with more than k common neighbours; only pairs through u or u's new
+    neighbours gain common ones. Return the largest degree recorded,
+    stopping once it exceeds k."""
+    rows = list(adj)
+    deg = [row.bit_count() for row in rows]
+    left = list(range(len(rows)))
+    alive = dirty = (1 << len(rows)) - 1
+    best = 0
+    while len(left) > best + 1:  # no degree left can exceed best
+        while dirty and len(left) > k + 2:  # else no pair shares k + 1 neighbours
+            low = dirty & -dirty
+            dirty ^= low
+            x = low.bit_length() - 1
+            if deg[x] <= k:  # shares at most k neighbours with anyone
+                continue
+            row = rows[x]
+            cands = alive & ~row & ~low
+            while cands:
+                bit = cands & -cands
+                cands ^= bit
+                z = bit.bit_length() - 1
+                if (row & rows[z]).bit_count() > k:
+                    row |= bit
+                    rows[z] |= low
+                    dirty |= bit | low
+            rows[x], deg[x] = row, row.bit_count()
+        v = min(left, key=deg.__getitem__)
+        best = max(best, deg[v])
+        if best > k:
+            return best
+        left.remove(v)
+        alive ^= 1 << v
+        nbrs = rows[v]
+        if nbrs:
+            u = min(bits(nbrs), key=lambda w: (rows[w] & nbrs).bit_count())
+            dirty = nbrs & ~rows[u]  # u and its new neighbours
+            for w in bits(nbrs):
+                rows[w] = rows[w] & ~(1 << v) | 1 << u
+                deg[w] = rows[w].bit_count()
+            rows[u] = (rows[u] | nbrs) & ~(1 << u)
+            deg[u] = rows[u].bit_count()
+    return best
 
 
 def _tested(n: int, witness: int) -> int:

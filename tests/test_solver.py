@@ -603,8 +603,9 @@ class TestTreewidthBound:
 
 
 class TestExceedsTreewidth:
-    """The elimination search decides tw(G) > k within its budget, and a
-    proof at k = b ends the descent at size b + 1."""
+    """The improved-graph contraction, then an elimination search within
+    its budget, decides tw(G) > k, and a proof at k = b ends the descent at
+    size b + 1."""
 
     def test_fires_only_above_exact_treewidth(self, exact_treewidths):
         # and always above it: every pair is decided within the budget
@@ -620,8 +621,11 @@ class TestExceedsTreewidth:
         g = parse_graph6("FNz~o")  # tree-width 5, contraction degeneracy 4
         assert solver._exceeds_treewidth(g.adj, 4)
         assert not solver._exceeds_treewidth(g.adj, 5)
-        g = parse_graph6("HSkm^LT")  # tree-width 5, bound 4
+        # tree-width 5, bound 4; the contraction proves tw > 4 only with a
+        # join at a new neighbour of a merged vertex, not only at the merged one
+        g = parse_graph6("HSkm^LT")
         assert solver._treewidth_bound(g.adj) == 4
+        assert solver._contract(g.adj, 4) > 4
         assert solver._exceeds_treewidth(g.adj, 4)
         assert solver._exceeds_treewidth(complete_graph(7).adj, 5)
         assert not solver._exceeds_treewidth(complete_graph(7).adj, 6)
@@ -651,9 +655,9 @@ class TestExceedsTreewidth:
         assert len(calls) == 35
         assert all(n > k + 2 for n, k in calls)
 
-    # every connected class on 8 vertices on which the improved-graph check,
-    # this check's predecessor, fired at k = b, found by enumerating n = 8
-    # once, so that this suite need not
+    # every connected class on 8 vertices on which the improved-graph
+    # contraction, the check's first test, fires at k = b, found by
+    # enumerating n = 8 once, so that this suite need not
     FIRES_AT_EIGHT = (
         "G@\\r~w", "G@^vvo", "G@\\~vg", "G@\\~vk", "GDh~vo", "GDl~fS", "GD^fvw",
         "GD^f~w", "GBXzt{", "GBX|~o", "GBX|~s", "GBXz~o", "GBzd~w", "GBnf^w",
@@ -665,7 +669,8 @@ class TestExceedsTreewidth:
         "Gt\\~~w",
     )
     # the other 13 connected classes on 8 vertices with tw > b, on which the
-    # improved-graph check did not fire and this one does, found the same way
+    # contraction does not fire and only the search proves it, found the
+    # same way
     FIRES_NEWLY_AT_EIGHT = (
         "G?Lruo", "GCrb`o", "G@Xucw", "G@Xs}c", "GD^fnW", "GBnnfs", "GT\\~Uk",
         "GRpk~k", "GRY^]w", "GIN\\vo", "GIm~vg", "GMj\\r{", "G]hky{",
@@ -712,6 +717,37 @@ class TestExceedsTreewidth:
         report = forcing_number(g, rule)
         assert (report.value, report.witness, report.tested) == (5, witness, tested)
         assert min(sizes) == 5
+
+    def test_contraction_runs_before_the_search(self, monkeypatch):
+        # with no budget only the contraction can fire: it proves the 50
+        # classes and none of the 13
+        monkeypatch.setattr(solver, "math", SimpleNamespace(comb=lambda n, k: 0))
+        for s in self.FIRES_AT_EIGHT + self.FIRES_NEWLY_AT_EIGHT:
+            g = parse_graph6(s)
+            fired = solver._exceeds_treewidth(g.adj, solver._treewidth_bound(g.adj))
+            assert fired is (s in self.FIRES_AT_EIGHT), s
+
+    def test_no_search_where_the_contraction_fires(self, monkeypatch):
+        # a random connected graph with n = 40, 78 edges and b = 6: an
+        # uncapped search took 85 s to prove tw > 6, the contraction takes a
+        # millisecond, and the search never starts
+        g = parse_graph6("goOAOA?@??@B?G?@?_???oG??G??H?C@OGB???A??A??G@?AGC_?OSG@??W???GA??"
+                         "`??_?Oo?G?@?_UP_C??@????D????_?D`??????O?__?_OSOO????C_???A??????")
+        asked = []
+        monkeypatch.setattr(solver, "math", SimpleNamespace(
+            comb=lambda n, k: asked.append((n, k)) or 0))
+        assert (g.n, g.edge_count, solver._treewidth_bound(g.adj)) == (40, 78, 6)
+        assert solver._exceeds_treewidth(g.adj, 6)
+        assert asked == []
+
+    def test_search_capped_at_n_squared(self):
+        # six forcing chains grown on 25 vertices, with b = 5 and Z = 6: the
+        # contraction does not fire, and a search with the C(25, 5) = 53,130
+        # states of the scan proves tw > 5 after 710 states; at most
+        # 25^2 = 625 are allowed, so the check proves nothing
+        g = parse_graph6("X??GcHAJOB?EA_G@_?h?_?_K_GWCA_?OgA??G?@O??_c?ACG?Co")
+        assert (g.n, solver._treewidth_bound(g.adj), solver._contract(g.adj, 5)) == (25, 5, 5)
+        assert not solver._exceeds_treewidth(g.adj, 5)
 
     @pytest.mark.parametrize("rule", list(Rule), ids=lambda r: r.value)
     def test_out_of_budget_proves_nothing(self, monkeypatch, rule):

@@ -58,8 +58,9 @@ Sizes are visited in this order:
   descent stops with Z = b + 1 and size b is never searched. It runs only
   when n > b + 2: tw(G) <= n - 1, and tw(G) = n - 1 only for K_n, whose b
   is n - 1. Its search visits at most C(n, b) states, the candidates of
-  the scan it may replace, and at most n^2; out of budget, it proves
-  nothing and the scan runs.
+  the scan it may replace, and at most n^2; out of budget, the
+  improved-graph contraction gets a last try, and if it proves nothing
+  either, the scan runs.
 
 `_search_min` returns the bound it used with the size and witness: the
 min degree when the graph has fewer than 10 edges or fewer edges than
@@ -73,20 +74,9 @@ width <= |S| whose root bag holds S - u + w; hang each below a bag S + w.
 A bag S joins these for every W. Deleting a vertex or contracting an edge
 never raises tree-width, and min degree <= tree-width.
 
-The check first runs the contraction with the improved-graph rule
-(Clautiaux, Carlier, Moukrim and Negre, 2003), as the LBN+ bound of
-Bodlaender and Koster ("Treewidth computations II. Lower bounds", 2011)
-does: if tw(G) <= k and non-adjacent v, w share more than k neighbours,
-then tw(G + vw) <= k. Take a decomposition of width k with no bag holding
-both v and w. All of w's bags lie past one tree edge (i, j) with v in bag
-X_i, j on w's side; each common neighbour has bags on both sides, so it is
-in X_i, and X_i would hold k + 2 vertices. So a bag holds both and G + vw
-has the same decomposition. Joining and contracting keep tw <= k, so every
-graph reached has a vertex of degree <= k.
-
-When that does not fire, a depth-first search over elimination orderings
-decides tw(G) <= k. Eliminating a vertex joins its neighbours into a
-clique and deletes it, and tw(G) is the least, over all orders, of the
+`_exceeds_treewidth(adj, k)` decides tw(G) <= k by a depth-first search
+over elimination orderings. Eliminating a vertex joins its neighbours into
+a clique and deletes it, and tw(G) is the least, over all orders, of the
 most neighbours a vertex has when it goes. So each step eliminates a vertex
 with at most k neighbours, and a branch succeeds once at most k + 1
 vertices are alive. The graph reached depends only on the set eliminated,
@@ -94,8 +84,20 @@ so alive sets shown to fail are kept and not searched again. A vertex v
 with at most k neighbours that form a clique, less at most one w, decides
 its state alone: eliminating it leaves a subgraph or a minor (contract vw),
 so when v's branch fails the state fails. A state costs O(nk) bit
-operations besides its children, so with at most n^2 states the check
-stays polynomial in time and memory, as the contraction alone was.
+operations besides its children, so with at most n^2 states the search
+stays polynomial in time and memory.
+
+When the search runs out, the contraction runs with the improved-graph
+rule (Clautiaux, Carlier, Moukrim and Negre, 2003), as the LBN+ bound of
+Bodlaender and Koster ("Treewidth computations II. Lower bounds", 2011)
+does: if tw(G) <= k and non-adjacent v, w share more than k neighbours,
+then tw(G + vw) <= k. Take a decomposition of width k with no bag holding
+both v and w. All of w's bags lie past one tree edge (i, j) with v in bag
+X_i, j on w's side; each common neighbour has bags on both sides, so it is
+in X_i, and X_i would hold k + 2 vertices. So a bag holds both and G + vw
+has the same decomposition. Joining and contracting keep tw <= k, so every
+graph reached has a vertex of degree <= k. On large sparse graphs it often
+proves in O(n^3) what the search cannot prove in n^2 states.
 
 Either way the witness is the lexicographically least minimum set.
 `tested` is the witness's 1-based rank among the nonempty vertex sets in
@@ -225,14 +227,11 @@ def _treewidth_bound(adj: tuple[int, ...]) -> int:
 
 
 def _exceeds_treewidth(adj: tuple[int, ...], k: int) -> bool:
-    """True only if tw(G) > k: the improved-graph contraction proves it, or
-    the search ends within its budget and finds no elimination ordering of
-    width <= k (see the module docstring). The budget is C(n, k) states, or
-    n at k = 0, where C(n, 0) = 1 would stop the search before it deletes
-    the isolated vertices, and at most n^2."""
-    if _contract(adj, k) > k:
-        return True
-    budget = min(math.comb(len(adj), max(k, 1)), len(adj) ** 2)
+    """True only if tw(G) > k: the search ends within its budget and finds
+    no elimination ordering of width <= k, or it runs out and the
+    improved-graph contraction proves it (see the module docstring). The
+    budget is C(n, k) states and at most n^2."""
+    budget = min(math.comb(len(adj), k), len(adj) ** 2)
     dead: set[int] = set()  # alive sets whose graph has tree-width > k
 
     def fits(rows: list[int], alive: int) -> bool:
@@ -259,7 +258,7 @@ def _exceeds_treewidth(adj: tuple[int, ...], k: int) -> bool:
         dead.add(alive)
         return False
 
-    return not fits(list(adj), (1 << len(adj)) - 1)
+    return not fits(list(adj), (1 << len(adj)) - 1) or not budget and _contract(adj, k) > k
 
 
 def _contract(adj: tuple[int, ...], k: int) -> int:

@@ -603,9 +603,9 @@ class TestTreewidthBound:
 
 
 class TestExceedsTreewidth:
-    """The improved-graph contraction, then an elimination search within
-    its budget, decides tw(G) > k, and a proof at k = b ends the descent at
-    size b + 1."""
+    """An elimination search within its budget, then the improved-graph
+    contraction if the search runs out, decides tw(G) > k, and a proof at
+    k = b ends the descent at size b + 1."""
 
     def test_fires_only_above_exact_treewidth(self, exact_treewidths):
         # and always above it: every pair is decided within the budget
@@ -656,7 +656,7 @@ class TestExceedsTreewidth:
         assert all(n > k + 2 for n, k in calls)
 
     # every connected class on 8 vertices on which the improved-graph
-    # contraction, the check's first test, fires at k = b, found by
+    # contraction, the check's fallback, fires at k = b, found by
     # enumerating n = 8 once, so that this suite need not
     FIRES_AT_EIGHT = (
         "G@\\r~w", "G@^vvo", "G@\\~vg", "G@\\~vk", "GDh~vo", "GDl~fS", "GD^fvw",
@@ -718,7 +718,7 @@ class TestExceedsTreewidth:
         assert (report.value, report.witness, report.tested) == (5, witness, tested)
         assert min(sizes) == 5
 
-    def test_contraction_runs_before_the_search(self, monkeypatch):
+    def test_contraction_once_the_search_gives_up(self, monkeypatch):
         # with no budget only the contraction can fire: it proves the 50
         # classes and none of the 13
         monkeypatch.setattr(solver, "math", SimpleNamespace(comb=lambda n, k: 0))
@@ -727,33 +727,32 @@ class TestExceedsTreewidth:
             fired = solver._exceeds_treewidth(g.adj, solver._treewidth_bound(g.adj))
             assert fired is (s in self.FIRES_AT_EIGHT), s
 
-    def test_no_search_where_the_contraction_fires(self, monkeypatch):
-        # a random connected graph with n = 40, 78 edges and b = 6: an
-        # uncapped search took 85 s to prove tw > 6, the contraction takes a
-        # millisecond, and the search never starts
+    def test_contraction_after_the_capped_search(self, monkeypatch):
+        # a random connected graph with n = 40, 78 edges and b = 6: a search
+        # with C(40, 6) states took 85 s to prove tw > 6; this one gives up
+        # after 40^2 = 1,600, and the contraction proves it
         g = parse_graph6("goOAOA?@??@B?G?@?_???oG??G??H?C@OGB???A??A??G@?AGC_?OSG@??W???GA??"
                          "`??_?Oo?G?@?_UP_C??@????D????_?D`??????O?__?_OSOO????C_???A??????")
-        asked = []
-        monkeypatch.setattr(solver, "math", SimpleNamespace(
-            comb=lambda n, k: asked.append((n, k)) or 0))
         assert (g.n, g.edge_count, solver._treewidth_bound(g.adj)) == (40, 78, 6)
         assert solver._exceeds_treewidth(g.adj, 6)
-        assert asked == []
+        monkeypatch.setattr(solver, "_contract", lambda adj, k: 0)
+        assert not solver._exceeds_treewidth(g.adj, 6)
 
     def test_search_capped_at_n_squared(self):
         # six forcing chains grown on 25 vertices, with b = 5 and Z = 6: the
         # contraction does not fire, and a search with the C(25, 5) = 53,130
         # states of the scan proves tw > 5 after 710 states; at most
-        # 25^2 = 625 are allowed, so the check proves nothing
+        # 25^2 = 625 are allowed, and the contraction proves nothing either
         g = parse_graph6("X??GcHAJOB?EA_G@_?h?_?_K_GWCA_?OgA??G?@O??_c?ACG?Co")
         assert (g.n, solver._treewidth_bound(g.adj), solver._contract(g.adj, 5)) == (25, 5, 5)
         assert not solver._exceeds_treewidth(g.adj, 5)
 
     @pytest.mark.parametrize("rule", list(Rule), ids=lambda r: r.value)
     def test_out_of_budget_proves_nothing(self, monkeypatch, rule):
-        # b = 4 < tw = 5, and the search needs 8 of its C(8, 4) = 70 states
-        # to prove it: with fewer it gives up, size 4 is scanned as it would
-        # be without the check, and the search stays exact
+        # b = 4 < tw = 5, and the search needs 8 of its min(C(8, 4), 8^2) = 64
+        # states to prove it: with fewer it gives up, the contraction does
+        # not fire on this graph either, size 4 is scanned as it would be
+        # without the check, and the search stays exact
         g = parse_graph6("GD^fnW")
         assert (solver._treewidth_bound(g.adj), naive_treewidth(g)) == (4, 5)
         value, combo, tried = naive_search(g, rule.value)

@@ -1,11 +1,11 @@
-"""Output documents and their parsers.
+"""Output documents.
 
 Every CLI subcommand emits one JSON-compatible dict with 1-based vertex
-labels; the parse_* functions here rebuild the originating records, so
-emitted documents round-trip. Key order is fixed by construction, which
-keeps rendered output byte-identical for identical inputs; the only
-exceptions are elapsed_ms fields, which carry wall time and sit outside
-the determinism contract.
+labels, built from the records the library returns; the test suite's
+parsers rebuild those records, so emitted documents round-trip. Key
+order is fixed by construction, which keeps rendered output
+byte-identical for identical inputs; the only exceptions are elapsed_ms
+fields, which carry wall time and sit outside the determinism contract.
 """
 from __future__ import annotations
 
@@ -42,10 +42,6 @@ def _force_doc(f: Force) -> dict:
     return {"source": f.source + 1, "target": f.target + 1}
 
 
-def _force_from_doc(d: dict) -> Force:
-    return Force(d["source"] - 1, d["target"] - 1)
-
-
 def _steps_doc(steps) -> list[list[dict]]:
     return [[_force_doc(f) for f in sorted(step)] for step in steps]
 
@@ -69,18 +65,6 @@ def solve_document(n: int, report: SolverReport, minimum_sets=None) -> dict:
     return doc
 
 
-def parse_solve_document(doc: dict):
-    from .solver import SolverReport
-    n = doc["n"]
-    report = SolverReport(Rule(doc["rule"]), doc["value"],
-                          mask_from_labels(doc["witness"], n),
-                          doc["tested"], doc["elapsed_ms"])
-    sets = doc.get("minimum_sets")
-    if sets is not None:
-        sets = [mask_from_labels(s, n) for s in sets]
-    return n, report, sets
-
-
 # ---------------------------------------------------------------------------
 # trace / list
 
@@ -98,15 +82,6 @@ def trace_document(command: str, n: int, chron: Chronology, expansion,
         "tau": chron.tau,
         "all_blue": expansion[-1].bit_count() == n,
     }
-
-
-def parse_trace_document(doc: dict):
-    n = doc["n"]
-    steps = tuple(frozenset(_force_from_doc(d) for d in step)
-                  for step in doc["steps"])
-    chron = Chronology(mask_from_labels(doc["initial"], n), steps,
-                       Rule(doc["rule"]))
-    return n, chron, doc["schedule"]
 
 
 # ---------------------------------------------------------------------------
@@ -128,15 +103,6 @@ def bundle_document(n: int, initial: int, schedule: str, bundle: PathBundle,
     }
 
 
-def parse_bundle_document(doc: dict):
-    from .bundles import PathBundle
-    n = doc["n"]
-    bundle = PathBundle(doc["x"] - 1, doc["t_x"],
-                        tuple(tuple(v - 1 for v in path) for path in doc["paths"]))
-    return n, mask_from_labels(doc["initial"], n), bundle, \
-        mask_from_labels(doc["terminus"], n)
-
-
 # ---------------------------------------------------------------------------
 # claws
 
@@ -149,12 +115,6 @@ def claws_document(n: int, claws: list[Claw]) -> dict:
         "claws": [{"center": c.center + 1, "leaves": [v + 1 for v in c.leaves]}
                   for c in claws],
     }
-
-
-def parse_claws_document(doc: dict):
-    claws = [Claw(d["center"] - 1, tuple(v - 1 for v in d["leaves"]))
-             for d in doc["claws"]]
-    return doc["n"], claws
 
 
 # ---------------------------------------------------------------------------
@@ -173,15 +133,6 @@ def _step_doc(step: ReconnectionStep) -> dict:
     }
 
 
-def _step_from_doc(d: dict, n: int) -> ReconnectionStep:
-    from .reconnection import ReconnectionStep
-    return ReconnectionStep(mask_from_labels(d["s"], n),
-                            mask_from_labels(d["component"], n),
-                            mask_from_labels(d["boundary"], n),
-                            d["x"] - 1, d["t"], d["w_star"] - 1,
-                            mask_from_labels(d["s_prime"], n))
-
-
 def improve_document(n: int, s: int, c: int, result) -> dict:
     from .reconnection import MinimalityRefutation
     doc = {"command": "improve", "n": n, "s": labels_of(s),
@@ -193,18 +144,6 @@ def improve_document(n: int, s: int, c: int, result) -> dict:
         doc["result"] = "step"
         doc["step"] = _step_doc(result)
     return doc
-
-
-def parse_improve_document(doc: dict):
-    from .reconnection import MinimalityRefutation
-    n = doc["n"]
-    s = mask_from_labels(doc["s"], n)
-    c = mask_from_labels(doc["component"], n)
-    if doc["result"] == "refutation":
-        r = doc["refutation"]
-        return n, s, c, MinimalityRefutation(r["y"] - 1,
-                                             mask_from_labels(r["smaller"], n))
-    return n, s, c, _step_from_doc(doc["step"], n)
 
 
 def connectify_document(n: int, final: int, steps, complement_connected: bool,
@@ -221,22 +160,12 @@ def connectify_document(n: int, final: int, steps, complement_connected: bool,
     }
 
 
-def parse_connectify_document(doc: dict):
-    n = doc["n"]
-    return n, mask_from_labels(doc["set"], n), \
-        [_step_from_doc(d, n) for d in doc["steps"]]
-
-
 # ---------------------------------------------------------------------------
 # perfect / verify
 
 
 def perfect_document(n: int, mode: str, perfect: bool) -> dict:
     return {"command": "perfect", "n": n, "mode": mode, "perfect": perfect}
-
-
-def parse_perfect_document(doc: dict):
-    return doc["n"], doc["mode"], doc["perfect"]
 
 
 def verify_document(summary: CorpusSummary, source: str, jobs: int | None = None,
@@ -255,12 +184,3 @@ def verify_document(summary: CorpusSummary, source: str, jobs: int | None = None
         "errors": list(summary.errors),
         "elapsed_ms": elapsed_ms,
     }
-
-
-def parse_verify_document(doc: dict) -> CorpusSummary:
-    from .verifier import CorpusSummary
-    return CorpusSummary(mode=doc["mode"], total=doc["total"],
-                         claw_free=doc["claw_free"], checked=doc["checked"],
-                         failures=list(doc["failures"]),
-                         informational=list(doc["informational"]),
-                         errors=list(doc["errors"]))

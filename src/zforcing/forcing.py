@@ -7,10 +7,12 @@ into the components of the subgraph it induces; a blue vertex u forces a
 white vertex w when w is u's only neighbor inside w's component. Both
 rules are one kernel, `_forces`, over parts of the white set: the whole
 set under the standard rule, each of its components under the psd rule.
-It is the only code that splits a white set. Every chronology comes from
-one walk, `_walk`, that hands each step's pick the kernel's stream at
-the current coloring: the greedy closure forces every target it can at
-each step, the lex and replayed lists one vertex per step. A chronology
+It is the one kernel that lists all forces: closures, greedy steps,
+`valid_forces` and the replayed list read it. Every chronology comes from
+one walk, `_walk`, that hands each step's pick the current coloring: the
+greedy pick forces every target the kernel lists, the replay pick checks
+its force against the kernel, and the lex pick, `_least`, is a lex-first
+search that splits off only the white components it needs. A chronology
 records the set of forces applied at each time step, and its expansion
 sequence records the blue set after each step.
 """
@@ -120,12 +122,13 @@ def _close(adj: Sequence[int], blue: int, full: int, psd: bool) -> int:
 
 
 def _walk(adj: Sequence[int], blue: int, full: int, psd: bool,
-          pick: Callable[[Iterator[tuple[int, int]]], list[Force]]) -> Iterator[list[Force]]:
+          pick: Callable[[Sequence[int], int, int, bool], list[Force]]) -> Iterator[list[Force]]:
     """Apply one step of forces, with distinct targets, at a time until
     pick returns none, as it must once `full` is blue, and yield each
-    step. pick reads `_forces`' stream at the current coloring."""
+    step. pick reads the current coloring (adj, blue, white, psd); one
+    that needs every force reads `_forces` there."""
     while True:
-        step = pick(_forces(adj, blue, full & ~blue, psd))
+        step = pick(adj, blue, full & ~blue, psd)
         if not step:
             return
         yield step
@@ -133,16 +136,46 @@ def _walk(adj: Sequence[int], blue: int, full: int, psd: bool,
             blue |= 1 << t
 
 
-def _least(forces: Iterator[tuple[int, int]]) -> list[Force]:
-    # target bits sort as target ids do
-    least = min(forces, default=None)
-    return [] if least is None else [Force(least[0], least[1].bit_length() - 1)]
+def _least(adj: Sequence[int], blue: int, white: int, psd: bool) -> list[Force]:
+    """The lex-least (source, target) force, or none: the first blue source
+    with a force, and its least target. A lone white neighbor is a force
+    under either rule; under psd a source with more white neighbors forces
+    the least one that is alone in its white component, and each component
+    is split off once per call, when a source first needs it."""
+    comps: list[int] = []
+    b = blue
+    while b:
+        low = b & -b
+        b ^= low
+        u = low.bit_length() - 1
+        inter = adj[u] & white
+        if not inter:
+            continue
+        if not inter & (inter - 1):
+            return [Force(u, inter.bit_length() - 1)]
+        if not psd:
+            continue
+        rem = inter
+        while rem:
+            w = rem & -rem
+            for comp in comps:
+                if comp & w:
+                    break
+            else:
+                comp = _reach_near(adj, w, white)[0]
+                comps.append(comp)
+            # each component is met at its least neighbor of u, so the first
+            # that holds only one holds u's least target
+            if inter & comp == w:
+                return [Force(u, w.bit_length() - 1)]
+            rem &= ~comp
+    return []
 
 
-def _greedy(forces: Iterator[tuple[int, int]]) -> list[Force]:
+def _greedy(adj: Sequence[int], blue: int, white: int, psd: bool) -> list[Force]:
     """Every target once, from its least source, the first one seen."""
     first: dict[int, int] = {}
-    for u, t in forces:
+    for u, t in _forces(adj, blue, white, psd):
         first.setdefault(t, u)
     return [Force(u, t.bit_length() - 1) for t, u in first.items()]
 
@@ -215,13 +248,13 @@ def chronological_list(g: Graph, b: int, rule: "Rule | str",
     else:
         rest = iter(replay)
 
-        def pick(forces):
+        def pick(adj, blue, white, psd):
             pulled[:] = [Force(*f) for f in islice(rest, 1)]
             # a negative target is never valid, and 1 << it would raise
             if not pulled or pulled[0].target < 0:
                 return []
             u, w = pulled[0]
-            return pulled[:] if (u, 1 << w) in forces else []
+            return pulled[:] if (u, 1 << w) in _forces(adj, blue, white, psd) else []
     steps = [frozenset(step) for step in _walk(g.adj, b, full, rule is Rule.PSD, pick)]
     if len(steps) == (full & ~b).bit_count() and not pulled:
         return Chronology(b, tuple(steps), rule)

@@ -17,10 +17,10 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .graphs import Graph, bits, components, is_connected, reach
-from .forcing import (Chronology, Force, Rule, _least, _walk, expansion_sequence,
-                      is_forcing_set, valid_forces)
+from .forcing import (Chronology, Force, Rule, _forces, _least, _walk,
+                      expansion_sequence, is_forcing_set)
 from .bundles import build_bundle, terminus
-from .solver import forcing_number
+from .solver import _search_min
 
 
 class ReconnectionStep(NamedTuple):
@@ -108,11 +108,12 @@ def _improve(g: Graph, s: int, c: int) -> "ReconnectionStep | MinimalityRefutati
     # inside c, so t is its length; no later step changes its first t steps
     unsaturated = (g.adj[x] | 1 << x) & ~(s | c)
     steps = []
+    blue = s  # E[t], however the walk ends
     if unsaturated:
         for step in _walk(g.adj, s, g.full_mask, True, _least):
             steps.append(frozenset(step))
-            unsaturated &= ~(1 << step[0].target)
-            if not unsaturated:
+            blue |= 1 << step[0].target
+            if not unsaturated & ~blue:
                 break
     f = Chronology(s, tuple(steps), Rule.PSD)
     t = f.tau
@@ -137,8 +138,10 @@ def _improve(g: Graph, s: int, c: int) -> "ReconnectionStep | MinimalityRefutati
 
     # f' keeps f's first t - 1 forces, so its states up to t - 1 are f's,
     # then x forces w* and f' ends: the bundle toward w* reads only steps
-    # 1..t, and every later force targets a vertex outside it
-    if Force(x, w_star) not in valid_forces(g, expansion_sequence(f)[t - 1], Rule.PSD):
+    # 1..t, and every later force targets a vertex outside it. Step t colored
+    # only w*, so E[t - 1] is E[t] without it
+    before = blue & ~(1 << w_star)
+    if (x, 1 << w_star) not in _forces(g.adj, before, g.full_mask & ~before, True):
         raise AssertionError("x must force w* at step t")
 
     f_prime = Chronology(s, f.steps[: t - 1] + (frozenset([Force(x, w_star)]),), Rule.PSD)
@@ -166,7 +169,7 @@ def connected_complement_trace(g: Graph) -> tuple[int, list[ReconnectionStep]]:
     strictly grows each round, so at most n steps happen."""
     if not is_connected(g):
         raise ValueError("graph must be connected")
-    s = forcing_number(g, Rule.PSD).witness
+    s = _search_min(g.adj, g.n, Rule.PSD)[1]  # the whole graph is one component
     steps: list[ReconnectionStep] = []
     for _ in range(g.n):
         comps = components(g, g.full_mask & ~s)

@@ -5,14 +5,7 @@ import json
 import pytest
 
 from conftest import two_diamonds_graph
-from zforcing import Rule, closure, forcing_number, mask_of
-from zforcing.documents import (
-    bundle_document,
-    claws_document,
-    connectify_document,
-    improve_document,
-    labels_of,
-    mask_from_labels,
+from parsers import (
     parse_bundle_document,
     parse_claws_document,
     parse_connectify_document,
@@ -21,6 +14,15 @@ from zforcing.documents import (
     parse_solve_document,
     parse_trace_document,
     parse_verify_document,
+)
+from zforcing import Rule, closure, forcing_number, mask_of
+from zforcing.documents import (
+    bundle_document,
+    claws_document,
+    connectify_document,
+    improve_document,
+    labels_of,
+    mask_from_labels,
     perfect_document,
     solve_document,
     trace_document,

@@ -12,6 +12,7 @@ from zforcing import (
     ChronologyError,
     ColorState,
     Force,
+    Graph,
     Rule,
     apply_step,
     bits,
@@ -30,6 +31,8 @@ from zforcing import (
     star_graph,
     valid_forces,
 )
+from zforcing.classes import _class_levels, _rows_of_key
+from zforcing.forcing import _forces, _least
 
 # 1-based vertex sets from the worked example, shifted once here
 B0 = mask_of([1, 3, 5])        # {2, 4, 6}
@@ -89,6 +92,29 @@ class TestValidForces:
     def test_blue_outside_graph_rejected(self, rule, blue):
         with pytest.raises(ValueError, match="^blue set mentions vertices outside the graph$"):
             valid_forces(path_graph(3), blue, rule)
+
+
+class TestLeast:
+    def test_matches_least_of_every_force(self):
+        # every coloring of every class with n <= 6, under both rules: the
+        # lex-first search finds the least pair of the kernel's stream, and
+        # for n <= 5 the least pair of the naive oracle's forces too
+        seen = 0
+        for n, level in enumerate(_class_levels(6), 1):
+            full = (1 << n) - 1
+            for key, _ in level:
+                adj = _rows_of_key(key)
+                g = Graph(n, adj)
+                for blue in range(full + 1):
+                    for psd, name in ((False, "standard"), (True, "psd")):
+                        least = min(_forces(adj, blue, full ^ blue, psd), default=None)
+                        expect = [] if least is None else [Force(least[0], least[1].bit_length() - 1)]
+                        assert _least(adj, blue, full ^ blue, psd) == expect
+                        if n <= 5:
+                            naive = naive_valid_forces(g, set(bits(blue)), name)
+                            assert expect == ([Force(*min(naive))] if naive else [])
+                        seen += 1
+        assert seen == 22_580
 
 
 class TestApplyStep:

@@ -181,20 +181,31 @@ class TestImproveComponent:
         # and c = {4}, x = 0 saturates at t = 3. A lex pick that gives out
         # after two forces ends the walk one step early: step t's target is
         # then 1, and 0 -> 1 is not a valid force, since 0 sees 1 and 2 in
-        # one white component
+        # one white component. On both exits of the walk the check reads
+        # E[t - 1]; E[t] would hold w* blue already
         g = from_edge_list(5, [(0, 1), (0, 2), (0, 4), (1, 2), (1, 3)])
         s, c = mask_of([0, 3]), mask_of([4])
+        forces, seen = reconnection._forces, []
+
+        def recorded(adj, blue, white, psd):
+            seen.append(blue)
+            return forces(adj, blue, white, psd)
+
+        monkeypatch.setattr(reconnection, "_forces", recorded)
         assert improve_component(g, s, c).t == 3
+        assert seen == [mask_of([0, 1, 3, 4])]
         least, calls = reconnection._least, []
 
-        def short(valid):
+        def short(*coloring):
             calls.append(0)
-            return least(valid) if len(calls) < 3 else []
+            return least(*coloring) if len(calls) < 3 else []
 
         monkeypatch.setattr(reconnection, "_least", short)
+        seen.clear()
         with pytest.raises(AssertionError, match=r"x must force w\* at step t"):
             improve_component(g, s, c)
         assert len(calls) == 3
+        assert seen == [mask_of([0, 3, 4])]
 
     def _check_step(self, g, s, c, step):
         assert isinstance(step, ReconnectionStep)

@@ -13,11 +13,12 @@ from pathlib import Path
 
 import pytest
 
+from parsers import parse_verify_document
 from zforcing import (Chronology, Claw, ColorState, ComponentHistory,
                       CorpusSummary, EqualityReport, Force, MinimalityRefutation,
                       MirrorReport, PathBundle, ReconnectionStep, Rule,
                       SolverReport)
-from zforcing.documents import parse_verify_document, verify_document
+from zforcing.documents import verify_document
 from zforcing.verifier import MirrorStep
 
 SRC = Path(__file__).resolve().parent.parent / "src"

@@ -110,15 +110,22 @@ def _forces(adj: Sequence[int], blue: int, white: int,
                 yield u, inter
 
 
-def _close(adj: Sequence[int], blue: int, full: int, psd: bool) -> int:
-    """Final blue mask: apply every valid force each round until none is left."""
-    while True:
+def _close(adj: Sequence[int], blue: int, full: int, psd: bool,
+           goal: int | None = None) -> int:
+    """Blue mask after applying every valid force each round, until `goal`
+    (by default `full`, giving the final blue mask) is blue or no force is
+    left. Closure is monotone, so goal lies inside the result exactly when it
+    lies inside the full closure, and the result lies inside that closure."""
+    if goal is None:
+        goal = full
+    while goal & ~blue:
         newly = 0
         for _, target in _forces(adj, blue, full ^ blue, psd):
             newly |= target
         if not newly:
-            return blue
+            break
         blue |= newly
+    return blue
 
 
 def _walk(adj: Sequence[int], blue: int, full: int, psd: bool,

@@ -17,7 +17,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .graphs import Graph, bits, components, is_connected, reach
-from .forcing import (Chronology, Force, Rule, _forces, _least, _walk,
+from .forcing import (Chronology, Force, Rule, _close, _forces, _least, _walk,
                       expansion_sequence, is_forcing_set)
 from .bundles import build_bundle, terminus
 from .solver import _search_min
@@ -125,7 +125,9 @@ def _improve(g: Graph, s: int, c: int) -> "ReconnectionStep | MinimalityRefutati
         y_mask = g.adj[x] & outside
         y = (y_mask & -y_mask).bit_length() - 1
         smaller = s & ~(1 << y)
-        if not is_forcing_set(g, smaller, Rule.PSD):
+        # s forces, so smaller does exactly when its closure reaches s; see
+        # the s' check below
+        if s & ~_close(g.adj, smaller, g.full_mask, True, s):
             raise AssertionError("dropping y must leave a psd forcing set")
         return MinimalityRefutation(y, smaller)
 
@@ -148,7 +150,12 @@ def _improve(g: Graph, s: int, c: int) -> "ReconnectionStep | MinimalityRefutati
     bundle = build_bundle(g, f_prime, w_star)
     s_prime = terminus(g, f_prime, bundle)
 
-    if not is_forcing_set(g, s_prime, Rule.PSD):
+    # s forces: improve_component checks it, connected_complement_trace starts
+    # from a search witness, and every later s is an s' that passed here.
+    # psd closure is monotone and idempotent, so s inside cl(s') gives
+    # V = cl(s) inside cl(cl(s')) = cl(s'), and cl(s') = V holds s: s' forces
+    # exactly when its closure, stopped once s is blue, holds s
+    if s & ~_close(g.adj, s_prime, g.full_mask, True, s):
         raise AssertionError("s' must be a psd forcing set")
     if s_prime.bit_count() != s.bit_count():
         raise AssertionError("s' must be as large as s")

@@ -233,6 +233,25 @@ except AssertionError as exc:
         assert run.returncode == 0, run.stderr
         assert run.stdout.splitlines() == ["1", "AssertionError: x must force w* at step t"]
 
+    def test_rewired_set_check_survives_optimize(self):
+        # the graph of test_rewired_set_that_does_not_force_raises, whose
+        # stubbed terminus {0, 3} does not psd-force
+        script = """
+import sys
+from zforcing import from_edge_list, improve_component, mask_of, reconnection
+g = from_edge_list(4, [(0, 1), (0, 2), (0, 3), (1, 2)])
+reconnection.terminus = lambda *args: mask_of([0, 3])
+print(sys.flags.optimize)
+try:
+    print(improve_component(g, mask_of([0, 1]), mask_of([2])))
+except AssertionError as exc:
+    print("AssertionError:", exc)
+"""
+        run = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True,
+                             text=True, timeout=60)
+        assert run.returncode == 0, run.stderr
+        assert run.stdout.splitlines() == ["1", "AssertionError: s' must be a psd forcing set"]
+
     def test_path_end_check_survives_optimize(self):
         script = f"""
 import sys

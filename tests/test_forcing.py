@@ -32,7 +32,7 @@ from zforcing import (
     valid_forces,
 )
 from zforcing.classes import _class_levels, _rows_of_key
-from zforcing.forcing import _forces, _least
+from zforcing.forcing import _close, _forces, _least
 
 # 1-based vertex sets from the worked example, shifted once here
 B0 = mask_of([1, 3, 5])        # {2, 4, 6}
@@ -213,6 +213,29 @@ class TestClosure:
     def test_blue_outside_graph_rejected(self, rule, blue):
         with pytest.raises(ValueError, match="^blue set mentions vertices outside the graph$"):
             closure(path_graph(3), blue, rule)
+
+    @given(graphs(max_n=9), st.integers(min_value=0), st.integers(min_value=0))
+    def test_close_stops_once_goal_is_blue(self, g, seed, goal_seed):
+        # the stop mask moves where the closure ends, never whether the goal
+        # lies inside it; goals are drawn at random and from inside the
+        # closure, so both answers come up
+        blue = seed % (1 << g.n)
+        for rule, name in ((Rule.STANDARD, "standard"), (Rule.PSD, "psd")):
+            psd = rule is Rule.PSD
+            full = mask_of(naive_closure(g, set(bits(blue)), name))
+            assert _close(g.adj, blue, g.full_mask, psd) == full
+            for goal in (goal_seed % (1 << g.n), goal_seed & full):
+                out = _close(g.adj, blue, g.full_mask, psd, goal)
+                assert (not goal & ~out) == (not goal & ~full)
+                assert not out & ~full and not blue & ~out
+
+    def test_close_stops_at_goal(self):
+        # along a path each round colors one vertex; the run ends the round
+        # the goal turns blue
+        adj = path_graph(6).adj
+        for psd in (False, True):
+            assert _close(adj, 1, 63, psd, 1 << 2) == 0b111
+            assert _close(adj, 1, 63, psd, 0) == 1
 
     def test_is_forcing_set(self, two_diamonds):
         assert is_forcing_set(two_diamonds, B0, Rule.PSD)

@@ -207,6 +207,15 @@ class TestImproveComponent:
         assert len(calls) == 3
         assert seen == [mask_of([0, 3, 4])]
 
+    def test_rewired_set_that_does_not_force_raises(self, monkeypatch):
+        # from s = {0, 1} and c = {2}, x = 0 forces 2 and then 3; a terminus
+        # of {0, 3} leaves the white 1 - 2 edge, which 0 sees twice and 3
+        # not at all, so the s' check must fire even though it stops early
+        g = from_edge_list(4, [(0, 1), (0, 2), (0, 3), (1, 2)])
+        monkeypatch.setattr(reconnection, "terminus", lambda *args: mask_of([0, 3]))
+        with pytest.raises(AssertionError, match="s' must be a psd forcing set"):
+            improve_component(g, mask_of([0, 1]), mask_of([2]))
+
     def _check_step(self, g, s, c, step):
         assert isinstance(step, ReconnectionStep)
         assert is_forcing_set(g, step.s_prime, Rule.PSD)
@@ -264,6 +273,11 @@ class TestImproveComponent:
             tried += 1
             c = max(comps, key=lambda m: m.bit_count())
             self._check_step(g, s, c, improve_component(g, s, c))
+        # the n = 16..40 traces, where the step's own s' check stops its
+        # closure once s is blue; _check_step closes s' in full
+        for g, (_, steps) in sparse_traces():
+            for st in steps:
+                self._check_step(g, st.s, st.c, st)
 
 
 class TestConnectedComplement:

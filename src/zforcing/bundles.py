@@ -38,15 +38,21 @@ class PathBundle(NamedTuple):
 
 
 def component_history(g: Graph, f: Chronology, x: int) -> ComponentHistory:
+    """x's white component at times 0..t_x-1. White sets only shrink, so
+    comps[t] is found inside comps[t - 1], and only if step t colored some."""
     if not 0 <= x < g.n:
         raise ValueError(f"vertex {x} outside the graph")
     states = expansion_sequence(f)
     t_x = next((t for t, blue in enumerate(states) if blue >> x & 1), None)
     if t_x is None:
         raise ValueError(f"vertex {x} is never forced by this chronology")
-    comps = tuple(reach(g.adj, 1 << x, g.full_mask & ~states[t])
-                  for t in range(t_x))
-    return ComponentHistory(x, t_x, comps)
+    comp = reach(g.adj, 1 << x, g.full_mask & ~states[0])
+    comps = []
+    for blue in states[:t_x]:
+        if comp & blue:
+            comp = reach(g.adj, 1 << x, comp & ~blue)
+        comps.append(comp)
+    return ComponentHistory(x, t_x, tuple(comps))
 
 
 def build_bundle(g: Graph, f: Chronology, x: int) -> PathBundle:

@@ -14,7 +14,10 @@ greedy pick forces every target the kernel lists, the replay pick checks
 its force against the kernel, and the lex pick, `_least`, is a lex-first
 search that splits off only the white components it needs. A chronology
 records the set of forces applied at each time step, and its expansion
-sequence records the blue set after each step.
+sequence records the blue set after each step. A psd closure follows only
+the white parts that meet its goal, and colors a forced part that induces
+a tree whole (`_forces` and `_close` prove both); every chronology still
+takes such a part force by force.
 """
 from __future__ import annotations
 
@@ -83,15 +86,15 @@ def expansion_sequence(chron: Chronology) -> tuple[int, ...]:
     return tuple(states)
 
 
-def _forces(adj: Sequence[int], blue: int, white: int,
-            psd: bool) -> Iterator[tuple[int, int]]:
-    """Yield (source, target bit) for every valid force. White splits into
-    parts, the whole set under the standard rule and each component under
-    psd; a blue vertex next to a part forces its only neighbor there.
-    Sources come in ascending order within a part and each target lies in
-    one part, so a target's first source is its least; `_greedy` reads
-    that."""
-    rem = white
+def _forces(adj: Sequence[int], blue: int, white: int, psd: bool,
+            seeds: int = -1) -> Iterator[tuple[int, int, int]]:
+    """Yield (source, target bit, part) for every valid force into a part
+    that meets `seeds`. White splits into parts, the whole set under the
+    standard rule and each component under psd, whose outside neighbors are
+    all blue: no force into one part reads or changes another. A blue vertex
+    next to a part forces its only neighbor there. Each target lies in one
+    part, whose sources come in ascending order, so its first is its least."""
+    rem = white & seeds
     while rem:
         if psd:
             part, near = _reach_near(adj, rem & -rem, white)
@@ -107,7 +110,21 @@ def _forces(adj: Sequence[int], blue: int, white: int,
             u = low.bit_length() - 1
             inter = adj[u] & part
             if inter and not inter & (inter - 1):
-                yield u, inter
+                yield u, inter, part
+
+
+def _is_tree(adj: Sequence[int], part: int) -> bool:
+    """Whether the connected vertex set `part` induces a tree, that is has
+    |part| - 1 edges; the count stops at the first edge past that."""
+    room = 2 * (part.bit_count() - 1)
+    rest = part
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        room -= (adj[low.bit_length() - 1] & part).bit_count()
+        if room < 0:
+            return False
+    return True
 
 
 def _close(adj: Sequence[int], blue: int, full: int, psd: bool,
@@ -115,13 +132,19 @@ def _close(adj: Sequence[int], blue: int, full: int, psd: bool,
     """Blue mask after applying every valid force each round, until `goal`
     (by default `full`, giving the final blue mask) is blue or no force is
     left. Closure is monotone, so goal lies inside the result exactly when it
-    lies inside the full closure, and the result lies inside that closure."""
+    lies inside the full closure, and the result lies inside that closure.
+    Under psd only the parts that meet goal are followed, and a forced part
+    P that induces a tree turns blue whole: the forced w splits P - w into
+    branches that each hold exactly one neighbor of w, induce a tree and
+    have only blue neighbors outside, so by induction each turns blue."""
     if goal is None:
         goal = full
     while goal & ~blue:
         newly = 0
-        for _, target in _forces(adj, blue, full ^ blue, psd):
-            newly |= target
+        for _, target, part in _forces(adj, blue, full ^ blue, psd, goal):
+            # test a part once, on its first force, and only if goal stays white in it
+            whole = psd and not newly & part and goal & part & ~target and _is_tree(adj, part)
+            newly |= part if whole else target
         if not newly:
             break
         blue |= newly
@@ -182,7 +205,7 @@ def _least(adj: Sequence[int], blue: int, white: int, psd: bool) -> list[Force]:
 def _greedy(adj: Sequence[int], blue: int, white: int, psd: bool) -> list[Force]:
     """Every target once, from its least source, the first one seen."""
     first: dict[int, int] = {}
-    for u, t in _forces(adj, blue, white, psd):
+    for u, t, _ in _forces(adj, blue, white, psd):
         first.setdefault(t, u)
     return [Force(u, t.bit_length() - 1) for t, u in first.items()]
 
@@ -194,7 +217,7 @@ def valid_forces(g: Graph, blue: int, rule: "Rule | str") -> set[Force]:
     if blue & ~full:
         raise ValueError("blue set mentions vertices outside the graph")
     return {Force(u, t.bit_length() - 1)
-            for u, t in _forces(g.adj, blue, full & ~blue, psd)}
+            for u, t, _ in _forces(g.adj, blue, full & ~blue, psd)}
 
 
 def apply_step(g: Graph, state: ColorState, chosen: Iterable[Force],
@@ -261,7 +284,8 @@ def chronological_list(g: Graph, b: int, rule: "Rule | str",
             if not pulled or pulled[0].target < 0:
                 return []
             u, w = pulled[0]
-            return pulled[:] if (u, 1 << w) in _forces(adj, blue, white, psd) else []
+            forces = _forces(adj, blue, white, psd, 1 << w)
+            return pulled[:] if any(v == u and t >> w & 1 for v, t, _ in forces) else []
     steps = [frozenset(step) for step in _walk(g.adj, b, full, rule is Rule.PSD, pick)]
     if len(steps) == (full & ~b).bit_count() and not pulled:
         return Chronology(b, tuple(steps), rule)

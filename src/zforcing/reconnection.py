@@ -143,7 +143,8 @@ def _improve(g: Graph, s: int, c: int) -> "ReconnectionStep | MinimalityRefutati
     # 1..t, and every later force targets a vertex outside it. Step t colored
     # only w*, so E[t - 1] is E[t] without it
     before = blue & ~(1 << w_star)
-    if (x, 1 << w_star) not in _forces(g.adj, before, g.full_mask & ~before, True):
+    if not any(u == x and t >> w_star & 1 for u, t, _ in
+               _forces(g.adj, before, g.full_mask & ~before, True, 1 << w_star)):
         raise AssertionError("x must force w* at step t")
 
     f_prime = Chronology(s, f.steps[: t - 1] + (frozenset([Force(x, w_star)]),), Rule.PSD)

@@ -11,6 +11,7 @@ from naive import comps_of
 from zforcing import (
     Chronology,
     Force,
+    Graph,
     Rule,
     all_minimum_sets,
     bits,
@@ -26,7 +27,8 @@ from zforcing import (
     terminus,
     valid_forces,
 )
-from zforcing.classes import _graph_classes
+from zforcing.classes import _class_levels, _graph_classes, _rows_of_key
+from zforcing.forcing import _least, _walk
 
 B0 = mask_of([1, 3, 5])
 
@@ -271,17 +273,34 @@ except AssertionError as exc:
 
 
 class TestHistoryMatchesSetReference:
-    def test_components_agree_with_reference(self, two_diamonds):
-        chron = chronological_list(two_diamonds, B0, Rule.PSD)
+    @staticmethod
+    def _assert_history_matches(g, chron):
         states = [chron.initial]
         for step in chron.steps:
             blue = states[-1]
             for f in step:
                 blue |= 1 << f.target
             states.append(blue)
-        for x in bits(two_diamonds.full_mask & ~B0):
-            hist = component_history(two_diamonds, chron, x)
+        refs = [comps_of(g, set(range(g.n)) - set(bits(blue))) for blue in states]
+        for x in bits(states[-1] & ~chron.initial):
+            hist = component_history(g, chron, x)
+            assert hist.t_x == next(t for t, blue in enumerate(states) if blue >> x & 1)
             for t in range(hist.t_x):
-                white = set(range(8)) - set(bits(states[t]))
-                ref = next(c for c in comps_of(two_diamonds, white) if x in c)
+                ref = next(c for c in refs[t] if x in c)
                 assert set(bits(hist.comps[t])) == ref
+
+    def test_components_agree_with_reference(self, two_diamonds):
+        self._assert_history_matches(two_diamonds, chronological_list(two_diamonds, B0, Rule.PSD))
+        # every coloring of every class with n <= 6, under both rules, along
+        # the greedy run (multi-force steps) and the lex run, for every x
+        # either run forces
+        for n, level in enumerate(_class_levels(6), 1):
+            full = (1 << n) - 1
+            for key, _ in level:
+                g = Graph(n, _rows_of_key(key))
+                for blue in range(full):
+                    for rule in Rule:
+                        self._assert_history_matches(g, closure(g, blue, rule)[0])
+                        lex = _walk(g.adj, blue, full, rule is Rule.PSD, _least)
+                        steps = tuple(frozenset(step) for step in lex)
+                        self._assert_history_matches(g, Chronology(blue, steps, rule))

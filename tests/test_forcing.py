@@ -23,16 +23,19 @@ from zforcing import (
     closure_mask,
     enumerate_graphs,
     expansion_sequence,
+    from_edge_list,
     is_forcing_set,
     make_chronology,
     mask_of,
     path_graph,
+    reach,
     restrict_chronology,
     star_graph,
     valid_forces,
 )
 from zforcing.classes import _class_levels, _rows_of_key
-from zforcing.forcing import _close, _forces, _least
+from zforcing import forcing
+from zforcing.forcing import _close, _forces, _is_tree, _least
 
 # 1-based vertex sets from the worked example, shifted once here
 B0 = mask_of([1, 3, 5])        # {2, 4, 6}
@@ -40,6 +43,23 @@ B0 = mask_of([1, 3, 5])        # {2, 4, 6}
 
 def _subset_masks(n):
     return range(1 << n)
+
+
+@st.composite
+def forests_with_chords(draw, max_n: int = 16):
+    """A random forest on up to max_n vertices, each vertex joined to an
+    earlier one or not, plus up to two more edges."""
+    n = draw(st.integers(min_value=1, max_value=max_n))
+    edges = set()
+    for v in range(1, n):
+        u = draw(st.integers(min_value=-1, max_value=v - 1))
+        if u >= 0:
+            edges.add((u, v))
+    if n >= 2:
+        for _ in range(draw(st.integers(min_value=0, max_value=2))):
+            u, v = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+            edges.add((min(u, v), max(u, v)))
+    return from_edge_list(n, sorted(edges))
 
 
 class TestValidForces:
@@ -92,6 +112,22 @@ class TestValidForces:
     def test_blue_outside_graph_rejected(self, rule, blue):
         with pytest.raises(ValueError, match="^blue set mentions vertices outside the graph$"):
             valid_forces(path_graph(3), blue, rule)
+
+    def test_seeds_follow_only_their_parts(self, monkeypatch):
+        # P5 with 2 blue has white parts {0, 1} and {3, 4}; seeded at 4 the
+        # kernel splits off and lists only the second
+        reach_near, calls = forcing._reach_near, []
+
+        def counted(*args):
+            calls.append(0)
+            return reach_near(*args)
+
+        monkeypatch.setattr(forcing, "_reach_near", counted)
+        adj, blue, white = path_graph(5).adj, 1 << 2, 0b11011
+        assert list(_forces(adj, blue, white, True, 1 << 4)) == [(2, 1 << 3, 0b11000)]
+        assert len(calls) == 1
+        assert list(_forces(adj, blue, white, True)) == [(2, 1 << 1, 0b11), (2, 1 << 3, 0b11000)]
+        assert len(calls) == 3
 
 
 class TestLeast:
@@ -230,12 +266,80 @@ class TestClosure:
                 assert not out & ~full and not blue & ~out
 
     def test_close_stops_at_goal(self):
-        # along a path each round colors one vertex; the run ends the round
-        # the goal turns blue
+        # along a path each standard round colors one vertex; the run ends
+        # the round the goal turns blue. Under psd the white path is a tree
+        # part, forced whole in one round
         adj = path_graph(6).adj
+        assert _close(adj, 1, 63, False, 1 << 2) == 0b111
+        assert _close(adj, 1, 63, False, 0) == 1
+        assert _close(adj, 1, 63, True, 1 << 2) == 63
+        # the square of P6 from {0, 1}: each round colors one vertex, and
+        # every white part holds a triangle, under both rules
+        square = from_edge_list(6, [(i, j) for i in range(6) for j in (i + 1, i + 2) if j < 6])
         for psd in (False, True):
-            assert _close(adj, 1, 63, psd, 1 << 2) == 0b111
-            assert _close(adj, 1, 63, psd, 0) == 1
+            assert _close(square.adj, 0b11, 63, psd, 1 << 3) == 0b1111
+            assert _close(square.adj, 0b11, 63, psd, 0) == 0b11
+
+    def test_close_matches_reference_exhaustive(self):
+        # every coloring of every class with n <= 6, under both rules: the
+        # full closure is the naive one, and with a one-vertex goal the goal
+        # is reached exactly when the naive closure holds it
+        seen = 0
+        for n, level in enumerate(_class_levels(6), 1):
+            full = (1 << n) - 1
+            for key, _ in level:
+                adj = _rows_of_key(key)
+                g = Graph(n, adj)
+                for blue in range(full + 1):
+                    for psd, name in ((False, "standard"), (True, "psd")):
+                        ref = mask_of(naive_closure(g, set(bits(blue)), name))
+                        assert _close(adj, blue, full, psd) == ref
+                        for v in range(n):
+                            out = _close(adj, blue, full, psd, 1 << v)
+                            assert out >> v & 1 == ref >> v & 1
+                            assert not out & ~ref and not blue & ~out
+                        seen += 1
+        assert seen == 22_580
+
+    @given(forests_with_chords(), st.integers(min_value=0), st.integers(min_value=0))
+    def test_close_on_sparse_graphs(self, g, seed, goal_seed):
+        # trees and forests with up to two extra edges leave tree parts of
+        # three or more vertices, which psd closures color whole
+        blue = seed % (1 << g.n)
+        goal = goal_seed % (1 << g.n)
+        for psd, name in ((False, "standard"), (True, "psd")):
+            ref = mask_of(naive_closure(g, set(bits(blue)), name))
+            assert _close(g.adj, blue, g.full_mask, psd) == ref
+            out = _close(g.adj, blue, g.full_mask, psd, goal)
+            assert (not goal & ~out) == (not goal & ~ref)
+            assert not out & ~ref and not blue & ~out
+
+    def test_tree_parts_forced_in_one_round(self, monkeypatch):
+        # P6 from an end: one psd round colors the white tree part whole,
+        # while the standard rule takes a round per vertex
+        forces, rounds = forcing._forces, []
+
+        def counted(*args):
+            rounds.append(0)
+            return forces(*args)
+
+        monkeypatch.setattr(forcing, "_forces", counted)
+        adj = path_graph(6).adj
+        for psd, expect in ((True, 1), (False, 5)):
+            rounds.clear()
+            assert _close(adj, 1, 63, psd) == 63
+            assert len(rounds) == expect
+
+    def test_is_tree_matches_edge_count(self):
+        # every connected vertex set of every class with n <= 6
+        for n, level in enumerate(_class_levels(6), 1):
+            for key, _ in level:
+                adj = _rows_of_key(key)
+                for part in range(1, 1 << n):
+                    if reach(adj, part & -part, part) != part:
+                        continue
+                    edges = sum((adj[v] & part).bit_count() for v in bits(part)) // 2
+                    assert _is_tree(adj, part) == (edges == part.bit_count() - 1)
 
     def test_is_forcing_set(self, two_diamonds):
         assert is_forcing_set(two_diamonds, B0, Rule.PSD)

@@ -5,19 +5,18 @@ rule a blue vertex with exactly one white neighbor forces that neighbor.
 Under the positive semidefinite (psd) rule the white set is first split
 into the components of the subgraph it induces; a blue vertex u forces a
 white vertex w when w is u's only neighbor inside w's component. Both
-rules are one kernel, `_forces`, over parts of the white set: the whole
-set under the standard rule, each of its components under the psd rule.
-It is the one kernel that lists all forces: closures, greedy steps,
-`valid_forces` and the replayed list read it. Every chronology comes from
-one walk, `_walk`, that hands each step's pick the current coloring: the
-greedy pick forces every target the kernel lists, the replay pick checks
-its force against the kernel, and the lex pick, `_least`, is a lex-first
-search that splits off only the white components it needs. A chronology
-records the set of forces applied at each time step, and its expansion
-sequence records the blue set after each step. A psd closure follows only
-the white parts that meet its goal, and colors a forced part that induces
-a tree whole (`_forces` and `_close` prove both); every chronology still
-takes such a part force by force.
+rules are one kernel, `_forces`, a lex-first search that lists forces in
+(source, target) order and splits off a white component only when a
+source with two or more white neighbors needs it. It is the one kernel
+that lists forces: closures, `valid_forces` and every chronology read it.
+Every chronology comes from one walk, `_walk`, that hands each step's
+pick the current coloring: the greedy pick forces every target the
+kernel lists, the lex pick, `_least`, takes its first force, and the
+replay pick asks it about its force's source alone. A chronology records
+the set of forces applied at each time step, and its expansion sequence
+records the blue set after each step. A psd closure colors a forced
+component that induces a tree whole (`_close` proves it); every
+chronology still takes such a part force by force.
 """
 from __future__ import annotations
 
@@ -87,30 +86,41 @@ def expansion_sequence(chron: Chronology) -> tuple[int, ...]:
 
 
 def _forces(adj: Sequence[int], blue: int, white: int, psd: bool,
-            seeds: int = -1) -> Iterator[tuple[int, int, int]]:
-    """Yield (source, target bit, part) for every valid force into a part
-    that meets `seeds`. White splits into parts, the whole set under the
-    standard rule and each component under psd, whose outside neighbors are
-    all blue: no force into one part reads or changes another. A blue vertex
-    next to a part forces its only neighbor there. Each target lies in one
-    part, whose sources come in ascending order, so its first is its least."""
-    rem = white & seeds
-    while rem:
-        if psd:
-            part, near = _reach_near(adj, rem & -rem, white)
-        else:
-            # a sweep of the whole white set's neighborhoods would cost
-            # more than trying every blue vertex
-            part, near = white, blue
-        rem &= ~part
-        b = near & blue
-        while b:
-            low = b & -b
-            b ^= low
-            u = low.bit_length() - 1
-            inter = adj[u] & part
-            if inter and not inter & (inter - 1):
-                yield u, inter, part
+            sources: int = -1) -> Iterator[tuple[int, int, int]]:
+    """Yield (source, target bit, part) for every valid force from a blue
+    vertex in `sources`, in lex order: sources ascending, and each source's
+    targets ascending. A lone white neighbor is a force under either rule,
+    and its part is 0. Under psd a source with more white neighbors forces
+    each one that is alone in its white component, and its part is that
+    component. Each component is split off once per call, when a source
+    first needs it; once one is the whole white set the standard rule
+    decides, and splitting stops."""
+    comps: list[int] = []
+    b = blue & sources
+    while b:
+        low = b & -b
+        b ^= low
+        u = low.bit_length() - 1
+        inter = adj[u] & white
+        if not inter & (inter - 1):
+            if inter:
+                yield u, inter, 0
+            continue
+        rem = inter if psd else 0
+        while rem:
+            w = rem & -rem
+            for comp in comps:
+                if comp & w:
+                    break
+            else:
+                comp = _reach_near(adj, w, white)[0]
+                comps.append(comp)
+                psd = comp != white
+            # each component is met at its least neighbor of u, so targets
+            # come in ascending order
+            if inter & comp == w:
+                yield u, w, comp
+            rem &= ~comp
 
 
 def _is_tree(adj: Sequence[int], part: int) -> bool:
@@ -133,17 +143,17 @@ def _close(adj: Sequence[int], blue: int, full: int, psd: bool,
     (by default `full`, giving the final blue mask) is blue or no force is
     left. Closure is monotone, so goal lies inside the result exactly when it
     lies inside the full closure, and the result lies inside that closure.
-    Under psd only the parts that meet goal are followed, and a forced part
-    P that induces a tree turns blue whole: the forced w splits P - w into
-    branches that each hold exactly one neighbor of w, induce a tree and
-    have only blue neighbors outside, so by induction each turns blue."""
+    Under psd a forced part P that `_forces` split off turns blue whole when
+    it induces a tree: the forced w splits P - w into branches that each hold
+    exactly one neighbor of w, induce a tree and have only blue neighbors
+    outside, so by induction each turns blue."""
     if goal is None:
         goal = full
     while goal & ~blue:
         newly = 0
-        for _, target, part in _forces(adj, blue, full ^ blue, psd, goal):
+        for _, target, part in _forces(adj, blue, full ^ blue, psd):
             # test a part once, on its first force, and only if goal stays white in it
-            whole = psd and not newly & part and goal & part & ~target and _is_tree(adj, part)
+            whole = not newly & part and goal & part & ~target and _is_tree(adj, part)
             newly |= part if whole else target
         if not newly:
             break
@@ -155,8 +165,8 @@ def _walk(adj: Sequence[int], blue: int, full: int, psd: bool,
           pick: Callable[[Sequence[int], int, int, bool], list[Force]]) -> Iterator[list[Force]]:
     """Apply one step of forces, with distinct targets, at a time until
     pick returns none, as it must once `full` is blue, and yield each
-    step. pick reads the current coloring (adj, blue, white, psd); one
-    that needs every force reads `_forces` there."""
+    step. pick reads the current coloring (adj, blue, white, psd) and
+    asks `_forces` there for every force, the first, or one source's."""
     while True:
         step = pick(adj, blue, full & ~blue, psd)
         if not step:
@@ -167,38 +177,9 @@ def _walk(adj: Sequence[int], blue: int, full: int, psd: bool,
 
 
 def _least(adj: Sequence[int], blue: int, white: int, psd: bool) -> list[Force]:
-    """The lex-least (source, target) force, or none: the first blue source
-    with a force, and its least target. A lone white neighbor is a force
-    under either rule; under psd a source with more white neighbors forces
-    the least one that is alone in its white component, and each component
-    is split off once per call, when a source first needs it."""
-    comps: list[int] = []
-    b = blue
-    while b:
-        low = b & -b
-        b ^= low
-        u = low.bit_length() - 1
-        inter = adj[u] & white
-        if not inter:
-            continue
-        if not inter & (inter - 1):
-            return [Force(u, inter.bit_length() - 1)]
-        if not psd:
-            continue
-        rem = inter
-        while rem:
-            w = rem & -rem
-            for comp in comps:
-                if comp & w:
-                    break
-            else:
-                comp = _reach_near(adj, w, white)[0]
-                comps.append(comp)
-            # each component is met at its least neighbor of u, so the first
-            # that holds only one holds u's least target
-            if inter & comp == w:
-                return [Force(u, w.bit_length() - 1)]
-            rem &= ~comp
+    """The lex-least (source, target) force, or none: the kernel's first."""
+    for u, t, _ in _forces(adj, blue, white, psd):
+        return [Force(u, t.bit_length() - 1)]
     return []
 
 
@@ -280,12 +261,13 @@ def chronological_list(g: Graph, b: int, rule: "Rule | str",
 
         def pick(adj, blue, white, psd):
             pulled[:] = [Force(*f) for f in islice(rest, 1)]
-            # a negative target is never valid, and 1 << it would raise
-            if not pulled or pulled[0].target < 0:
+            # a force with an end outside the graph is never valid, and a
+            # shift by that end could raise
+            if not pulled or not all(0 <= v < len(adj) for v in pulled[0]):
                 return []
             u, w = pulled[0]
-            forces = _forces(adj, blue, white, psd, 1 << w)
-            return pulled[:] if any(v == u and t >> w & 1 for v, t, _ in forces) else []
+            forces = _forces(adj, blue, white, psd, 1 << u)
+            return pulled[:] if any(t >> w & 1 for _, t, _ in forces) else []
     steps = [frozenset(step) for step in _walk(g.adj, b, full, rule is Rule.PSD, pick)]
     if len(steps) == (full & ~b).bit_count() and not pulled:
         return Chronology(b, tuple(steps), rule)

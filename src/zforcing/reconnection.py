@@ -104,8 +104,9 @@ def _improve(g: Graph, s: int, c: int) -> "ReconnectionStep | MinimalityRefutati
     """improve_component past its checks."""
     s0 = boundary_set(g, s, c)
     x = _pivot(g, s0, c)
-    # f is the lex psd list from s cut at the step that leaves N[x] blue or
-    # inside c, so t is its length; no later step changes its first t steps
+    # steps is f, the lex psd list from s cut at the step that leaves N[x]
+    # blue or inside c, so t is its length; no later step changes its first
+    # t steps
     unsaturated = (g.adj[x] | 1 << x) & ~(s | c)
     steps = []
     blue = s  # E[t], however the walk ends
@@ -115,8 +116,7 @@ def _improve(g: Graph, s: int, c: int) -> "ReconnectionStep | MinimalityRefutati
             blue |= 1 << step[0].target
             if not unsaturated & ~blue:
                 break
-    f = Chronology(s, tuple(steps), Rule.PSD)
-    t = f.tau
+    t = len(steps)
 
     if t == 0:
         # every neighbor of x is already in s or c, yet x also sees past the
@@ -133,7 +133,7 @@ def _improve(g: Graph, s: int, c: int) -> "ReconnectionStep | MinimalityRefutati
 
     # the single force at step t colors the last white vertex of N[x]
     # outside c, so its target is a neighbor of x
-    (step_force,) = f.steps[t - 1]
+    (step_force,) = steps[t - 1]
     w_star = step_force.target
     if not g.adj[x] >> w_star & 1 or c >> w_star & 1:
         raise AssertionError("w* must be a neighbor of x outside c")
@@ -143,11 +143,11 @@ def _improve(g: Graph, s: int, c: int) -> "ReconnectionStep | MinimalityRefutati
     # 1..t, and every later force targets a vertex outside it. Step t colored
     # only w*, so E[t - 1] is E[t] without it
     before = blue & ~(1 << w_star)
-    if not any(u == x and t >> w_star & 1 for u, t, _ in
-               _forces(g.adj, before, g.full_mask & ~before, True, 1 << w_star)):
+    if not any(target >> w_star & 1 for _, target, _ in
+               _forces(g.adj, before, g.full_mask & ~before, True, 1 << x)):
         raise AssertionError("x must force w* at step t")
 
-    f_prime = Chronology(s, f.steps[: t - 1] + (frozenset([Force(x, w_star)]),), Rule.PSD)
+    f_prime = Chronology(s, tuple(steps[: t - 1]) + (frozenset([Force(x, w_star)]),), Rule.PSD)
     bundle = build_bundle(g, f_prime, w_star)
     s_prime = terminus(g, f_prime, bundle)
 

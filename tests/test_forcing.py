@@ -113,9 +113,10 @@ class TestValidForces:
         with pytest.raises(ValueError, match="^blue set mentions vertices outside the graph$"):
             valid_forces(path_graph(3), blue, rule)
 
-    def test_seeds_follow_only_their_parts(self, monkeypatch):
-        # P5 with 2 blue has white parts {0, 1} and {3, 4}; seeded at 4 the
-        # kernel splits off and lists only the second
+    def test_sources_split_only_the_parts_they_need(self, monkeypatch):
+        # P5 with 2 blue has white parts {0, 1} and {3, 4}; source 2 sees
+        # both, so the kernel splits each off once and lists its force into
+        # each, in target order. With no source it splits nothing
         reach_near, calls = forcing._reach_near, []
 
         def counted(*args):
@@ -124,17 +125,18 @@ class TestValidForces:
 
         monkeypatch.setattr(forcing, "_reach_near", counted)
         adj, blue, white = path_graph(5).adj, 1 << 2, 0b11011
-        assert list(_forces(adj, blue, white, True, 1 << 4)) == [(2, 1 << 3, 0b11000)]
-        assert len(calls) == 1
-        assert list(_forces(adj, blue, white, True)) == [(2, 1 << 1, 0b11), (2, 1 << 3, 0b11000)]
-        assert len(calls) == 3
+        assert list(_forces(adj, blue, white, True, 1 << 2)) == [(2, 1 << 1, 0b11), (2, 1 << 3, 0b11000)]
+        assert len(calls) == 2
+        assert list(_forces(adj, blue, white, True, 0)) == []
+        assert len(calls) == 2
 
 
 class TestLeast:
     def test_matches_least_of_every_force(self):
         # every coloring of every class with n <= 6, under both rules: the
-        # lex-first search finds the least pair of the kernel's stream, and
-        # for n <= 5 the least pair of the naive oracle's forces too
+        # kernel's (source, target) pairs strictly increase, the lex pick is
+        # the first of them, and for n <= 5 they are the naive oracle's
+        # forces in sorted order
         seen = 0
         for n, level in enumerate(_class_levels(6), 1):
             full = (1 << n) - 1
@@ -143,12 +145,11 @@ class TestLeast:
                 g = Graph(n, adj)
                 for blue in range(full + 1):
                     for psd, name in ((False, "standard"), (True, "psd")):
-                        least = min(_forces(adj, blue, full ^ blue, psd), default=None)
-                        expect = [] if least is None else [Force(least[0], least[1].bit_length() - 1)]
-                        assert _least(adj, blue, full ^ blue, psd) == expect
+                        pairs = [(u, t.bit_length() - 1) for u, t, _ in _forces(adj, blue, full ^ blue, psd)]
+                        assert all(a < b for a, b in zip(pairs, pairs[1:]))
+                        assert _least(adj, blue, full ^ blue, psd) == [Force(*p) for p in pairs[:1]]
                         if n <= 5:
-                            naive = naive_valid_forces(g, set(bits(blue)), name)
-                            assert expect == ([Force(*min(naive))] if naive else [])
+                            assert pairs == sorted(naive_valid_forces(g, set(bits(blue)), name))
                         seen += 1
         assert seen == 22_580
 
@@ -266,13 +267,13 @@ class TestClosure:
                 assert not out & ~full and not blue & ~out
 
     def test_close_stops_at_goal(self):
-        # along a path each standard round colors one vertex; the run ends
-        # the round the goal turns blue. Under psd the white path is a tree
-        # part, forced whole in one round
+        # along a path from an end each round colors one vertex, under both
+        # rules: the one source has a lone white neighbor, so no part is split
+        # off. The run ends the round the goal turns blue
         adj = path_graph(6).adj
-        assert _close(adj, 1, 63, False, 1 << 2) == 0b111
-        assert _close(adj, 1, 63, False, 0) == 1
-        assert _close(adj, 1, 63, True, 1 << 2) == 63
+        for psd in (False, True):
+            assert _close(adj, 1, 63, psd, 1 << 2) == 0b111
+            assert _close(adj, 1, 63, psd, 0) == 1
         # the square of P6 from {0, 1}: each round colors one vertex, and
         # every white part holds a triangle, under both rules
         square = from_edge_list(6, [(i, j) for i in range(6) for j in (i + 1, i + 2) if j < 6])
@@ -315,8 +316,10 @@ class TestClosure:
             assert not out & ~ref and not blue & ~out
 
     def test_tree_parts_forced_in_one_round(self, monkeypatch):
-        # P6 from an end: one psd round colors the white tree part whole,
-        # while the standard rule takes a round per vertex
+        # P6 from vertex 2: 2 sees the white parts {0, 1} and {3, 4, 5}, so
+        # one psd round splits both off and colors each tree part whole,
+        # while the standard rule forces nothing. From an end no part is
+        # split off, and both rules take a round per vertex
         forces, rounds = forcing._forces, []
 
         def counted(*args):
@@ -325,10 +328,11 @@ class TestClosure:
 
         monkeypatch.setattr(forcing, "_forces", counted)
         adj = path_graph(6).adj
-        for psd, expect in ((True, 1), (False, 5)):
+        for blue, psd, expect, rounds_run in ((1 << 2, True, 63, 1), (1 << 2, False, 1 << 2, 1),
+                                              (1, True, 63, 5), (1, False, 63, 5)):
             rounds.clear()
-            assert _close(adj, 1, 63, psd) == 63
-            assert len(rounds) == expect
+            assert _close(adj, blue, 63, psd) == expect
+            assert len(rounds) == rounds_run
 
     def test_is_tree_matches_edge_count(self):
         # every connected vertex set of every class with n <= 6
@@ -367,6 +371,15 @@ class TestChronologicalList:
             chronological_list(two_diamonds, B0, Rule.PSD,
                                replay=[Force(3, 2), Force(5, 7)])
         assert info.value.step == 2
+
+    def test_replay_checks_the_source(self):
+        # P4 from its ends: 3 forces 2, so a replayed 0 -> 2 is still not
+        # valid; nor is a force with an end far outside the graph
+        g = path_graph(4)
+        for bad in (Force(0, 2), Force(3, 1), Force(1 << 70, 1), Force(0, 1 << 70)):
+            with pytest.raises(ChronologyError) as info:
+                chronological_list(g, mask_of([0, 3]), Rule.PSD, replay=[bad])
+            assert str(info.value) == f"force {bad} not valid at step 1"
 
     def test_replay_rejects_a_force_past_the_end(self, two_diamonds):
         lex = chronological_list(two_diamonds, B0, Rule.PSD)

@@ -182,22 +182,22 @@ class TestImproveComponent:
         # after two forces ends the walk one step early: step t's target is
         # then 1, and 0 -> 1 is not a valid force, since 0 sees 1 and 2 in
         # one white component. On both exits of the walk the check reads
-        # E[t - 1]; E[t] would hold w* blue already. It follows only w*'s
-        # white part
+        # E[t - 1]; E[t] would hold w* blue already. It asks only about x's
+        # forces
         g = from_edge_list(5, [(0, 1), (0, 2), (0, 4), (1, 2), (1, 3)])
         s, c = mask_of([0, 3]), mask_of([4])
-        forces, seen, seeded = reconnection._forces, [], []
+        forces, seen, asked = reconnection._forces, [], []
 
-        def recorded(adj, blue, white, psd, seeds):
+        def recorded(adj, blue, white, psd, sources):
             seen.append(blue)
-            seeded.append(seeds)
-            return forces(adj, blue, white, psd, seeds)
+            asked.append(sources)
+            return forces(adj, blue, white, psd, sources)
 
         monkeypatch.setattr(reconnection, "_forces", recorded)
         step = improve_component(g, s, c)
         assert step.t == 3
         assert seen == [mask_of([0, 1, 3, 4])]
-        assert seeded == [1 << step.w_star]
+        assert asked == [1 << step.x]
         least, calls = reconnection._least, []
 
         def short(*coloring):
@@ -206,12 +206,12 @@ class TestImproveComponent:
 
         monkeypatch.setattr(reconnection, "_least", short)
         seen.clear()
-        seeded.clear()
+        asked.clear()
         with pytest.raises(AssertionError, match=r"x must force w\* at step t"):
             improve_component(g, s, c)
         assert len(calls) == 3
         assert seen == [mask_of([0, 3, 4])]
-        assert seeded == [1 << 1]  # w* is step 2's target, 1
+        assert asked == [1 << step.x]
 
     def test_rewired_set_that_does_not_force_raises(self, monkeypatch):
         # from s = {0, 1} and c = {2}, x = 0 forces 2 and then 3; a terminus

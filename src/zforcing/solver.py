@@ -49,10 +49,18 @@ Sizes are visited in this order:
   min degree <= b <= tw(G) <= Z+(G) <= Z(G) (tree-width; see below).
 - Sizes from the bound up to 2 are tried ascending, and the first success
   returns.
-- Then sizes go down from n - 1 and stop at the first size with no forcing
-  set, or at the bound. A superset of a forcing set forces under both
-  rules, so Z is the last size that had one. Only size Z - 1 is searched
-  in full, and not even that when Z = b.
+- Then one closure finds k0, the least k from max(b, 3) (max(b + 1, 3)
+  when the check below is due at b, which decides size b) whose prefix
+  P_k = {0..k - 1} forces. P_k is the first size-k candidate and lies in
+  P_k+1, and a superset of a forcing set forces under both rules, so the
+  sizes whose prefix forces form a run [k0, n], at each of which the scan
+  would yield P_k first. Closure is monotone and idempotent, so
+  P_k <= C <= cl(P_k) gives cl(P_k+1) = cl(C + k): C grows a vertex at a
+  time, and C + k is closed only when it meets every stored fort and
+  `_forces` finds a force in it. A failed closure stores its fort.
+- Sizes then go down from k0 - 1 and stop at the first with no forcing
+  set, or at the bound; Z is the last size that had one, or k0. Only
+  size Z - 1 is searched in full, and not even that when Z = b.
 - When the contraction gave b, size b + 1 forces and size b is next,
   `_exceeds_treewidth(adj, b)` runs once; if it proves tw(G) > b, the
   descent stops with Z = b + 1 and size b is never searched. It runs only
@@ -116,7 +124,7 @@ from typing import Iterator, NamedTuple
 
 from .graphs import (Graph, _reach_near, bits, components, induced_subgraph,
                      mask_of)
-from .forcing import Rule, _close, _rule
+from .forcing import Rule, _close, _forces, _rule
 
 
 class SolverReport(NamedTuple):
@@ -168,17 +176,22 @@ def _forcing_sets_of_size(adj: tuple[int, ...], n: int, k: int, psd: bool,
                 yield base | low
                 rest ^= low
             else:
-                fort = full ^ closed  # contains no stored fort: the candidate meets each
-                forts[:] = [f for f in forts if fort & ~f]
-                forts.append(fort)
-                rest &= fort
+                rest &= _store(forts, full ^ closed)
+
+
+def _store(forts: list[int], fort: int) -> int:
+    """Store a failed closure's fort, dropping the forts that contain it."""
+    forts[:] = [f for f in forts if fort & ~f]
+    forts.append(fort)
+    return fort
 
 
 def _search_min(adj: tuple[int, ...], n: int, rule: Rule) -> tuple[int, int, int]:
     """(size, witness mask, tree-width lower bound) for one whole graph, in
     the size order the module docstring gives. The bound is known before
     any size is scanned, and no size below it is; it is returned as the
-    search used it."""
+    search used it. Above size 2 no size at or above k0, the least with a
+    forcing prefix, is scanned, save b when the check finds nothing."""
     psd = rule is Rule.PSD
     forts: list[int] = []  # every size's failed closures prune every later size
     edges = sum(map(int.bit_count, adj)) // 2
@@ -193,9 +206,22 @@ def _search_min(adj: tuple[int, ...], n: int, rule: Rule) -> tuple[int, int, int
         witness = next(_forcing_sets_of_size(adj, n, k, psd, forts), 0)
         if witness:
             return k, witness, bound
-    z, witness = n, (1 << n) - 1  # the full vertex set always forces
-    for k in range(n - 1, max(bound - 1, 2), -1):
-        if dense and k == bound and n > k + 2 and _exceeds_treewidth(adj, k):
+    full = (1 << n) - 1
+    z, witness = n, full  # the full vertex set always forces
+    due = dense and n > bound + 2  # the tree-width check runs at size bound
+    start = max(bound + due, 3)
+    closed = (1 << start - 1) - 1  # P_k <= closed <= cl(P_k) for each k below
+    for k in range(start - 1, n - 1):
+        closed |= 1 << k  # now P_k+1 <= closed <= cl(P_k+1)
+        if all(f & closed for f in forts) and any(_forces(adj, closed, full ^ closed, psd)):
+            closed = _close(adj, closed, full, psd)
+            if closed != full:
+                _store(forts, full ^ closed)
+        if closed == full:
+            z, witness = k + 1, (2 << k) - 1
+            break
+    for k in range(z - 1, max(bound - 1, 2), -1):
+        if due and k == bound and _exceeds_treewidth(adj, k):
             bound += 1  # = z, so size z - 1 cannot force
             break
         found = next(_forcing_sets_of_size(adj, n, k, psd, forts), 0)

@@ -339,6 +339,69 @@ class TestFirstForceFilter:
                     == (k, mask_of(combo), tried)
 
 
+class TestForcingPrefix:
+    """Each prefix {0..k - 1} is the first size-k candidate, and once one
+    forces every larger one does, so the descent starts below the least
+    forcing prefix, found by one growing closure, and no scan above size 2
+    reaches it unless the scan is the one that finds Z."""
+
+    @pytest.mark.parametrize("rule, skipped", [(Rule.STANDARD, 2453), (Rule.PSD, 2341)],
+                             ids=["standard", "psd"])
+    def test_no_scan_at_or_above_the_forcing_prefix_on_classes(self, monkeypatch, rule,
+                                                               skipped):
+        sizes = []
+        scan = solver._forcing_sets_of_size
+        monkeypatch.setattr(solver, "_forcing_sets_of_size",
+                            lambda adj, n, k, *rest: sizes.append(k) or scan(adj, n, k, *rest))
+        for n in range(1, 8):
+            for g, _ in _graph_classes(n):
+                k0 = next(k for k in range(1, n + 1)
+                          if naive_is_forcing(g, set(range(k)), rule.value))
+                sizes.clear()
+                z, _, bound = _search_min(g.adj, g.n, rule)
+                # size 1 or 2 is scanned ascending; size b when the
+                # tree-width check is due there and finds nothing
+                assert all(k < k0 or k == z and (k <= 2 or k == bound) for k in sizes), \
+                    (g, sizes)
+                # sizes k0..n - 1, which a descent from n - 1 scanned once Z > 2
+                skipped -= (n - k0) * (z > 2)
+        assert not skipped
+
+    def test_closes_only_where_a_scan_would_on_classes(self, monkeypatch):
+        # on sparse classes sizes 1-2 store forts before the prefix grows,
+        # and a grown prefix can fall inside one: it must not be closed
+        close = solver._close
+        failed = []
+
+        def pinned(adj, blue, full, psd):
+            assert _can_start(g, blue, psd), blue
+            assert not any(blue & ~closed == 0 for closed in failed), blue
+            closed = close(adj, blue, full, psd)
+            if closed != full:
+                failed.append(closed)
+            return closed
+
+        monkeypatch.setattr(solver, "_close", pinned)
+        for n in range(1, 8):
+            for g, _ in _graph_classes(n):
+                for rule in Rule:
+                    failed.clear()
+                    _search_min(g.adj, g.n, rule)
+
+    def test_descent_scans_only_z_minus_1(self, monkeypatch):
+        # K_{3,3} with its sides on the even and the odd ids: b = 3 and
+        # Z = 4, cl({0, 1, 2}) = {0, 1, 2, 4}, and adding 3 forces; a
+        # descent from n - 1 scanned sizes 5, 4 and 3
+        g = from_edge_list(6, [(u, v) for u in (0, 2, 4) for v in (1, 3, 5)])
+        sizes = []
+        scan = solver._forcing_sets_of_size
+        monkeypatch.setattr(solver, "_forcing_sets_of_size",
+                            lambda adj, n, k, *rest: sizes.append(k) or scan(adj, n, k, *rest))
+        assert _search_min(g.adj, g.n, Rule.STANDARD) == (4, mask_of(range(4)), 3)
+        assert sizes == [3]
+        assert _search(g, Rule.STANDARD) == (4, mask_of(range(4)), 42)
+
+
 class TestAllMinimumSets:
     def test_two_diamonds_counts(self, two_diamonds):
         std = all_minimum_sets(two_diamonds, Rule.STANDARD)
@@ -590,7 +653,8 @@ class TestTreewidthBound:
 
     def test_closure_count_on_classes(self, monkeypatch):
         # every class with n <= 7 under both rules; trying sizes 1-2 before
-        # b is known ran 19,658 closures
+        # b is known ran 19,658 closures, and the descent from n - 1 in
+        # place of the growing prefix closure 16,170
         calls = []
         close = solver._close
         monkeypatch.setattr(solver, "_close",
@@ -599,7 +663,7 @@ class TestTreewidthBound:
         for g in classes:
             for rule in Rule:
                 _search_min(g.adj, g.n, rule)
-        assert (len(classes), len(calls)) == (1252, 16170)
+        assert (len(classes), len(calls)) == (1252, 13614)
 
 
 class TestExceedsTreewidth:

@@ -3,7 +3,7 @@ from __future__ import annotations
 import pytest
 
 from conftest import two_diamonds_graph
-from naive import comps_of, naive_forcing_number, naive_valid_forces
+from naive import comps_of, naive_forcing_number, naive_search, naive_valid_forces
 from zforcing import solver, verifier
 from zforcing import (
     Force,
@@ -239,11 +239,19 @@ class TestNumbersDiffer:
 
     def test_matches_naive_at_seven(self):
         # n = 7 is where the bound, the tree-width check and the fort
-        # list first prune much; a decision that stops seeing Z != Z+ fails
+        # list first prune much; a decision that stops seeing Z != Z+ fails.
+        # The search runs on each class whole, as monotonicity mode runs it
+        # on every class, disconnected ones included, and must give the
+        # oracle's value, lex-least witness and tested count
         differ = 0
         for g, _ in _graph_classes(7):
-            z = naive_forcing_number(g, "standard")
-            zp = naive_forcing_number(g, "psd")
+            numbers = []
+            for rule in solver.Rule:
+                k, combo, tried = naive_search(g, rule.value)
+                z, witness, _ = solver._search_min(g.adj, g.n, rule)
+                assert (z, witness, solver._tested(g.n, witness)) == (k, mask_of(combo), tried)
+                numbers.append(k)
+            z, zp = numbers
             assert verifier._numbers_differ(g) == (z != zp)
             differ += z != zp
         assert differ == 203

@@ -1,8 +1,8 @@
 """Isomorphism classes of small graphs, grown one vertex at a time.
 
-Private to the verifier, which walks every class on n vertices instead of
-every labeled graph: canonical keys by cell refinement with twin pruning,
-and isomorph-free generation by canonical deletion.
+Private to the verifier, which walks the classes on n vertices it decides
+instead of every labeled graph: canonical keys by cell refinement with
+twin pruning, and isomorph-free generation by canonical deletion.
 """
 from __future__ import annotations
 
@@ -10,7 +10,7 @@ import itertools
 import math
 from typing import Iterator
 
-from .graphs import Graph, _claws, bits, mask_of
+from .graphs import Graph, _claws, bits, components, mask_of
 
 
 def _cells(adj: tuple[int, ...]) -> list[int]:
@@ -107,18 +107,31 @@ def _carry(labelings: list[tuple[int, ...]], twin: list[int]
             [mask_of(inv[v] for v in bits(c)) for c in set(twin) if c & c - 1])
 
 
-def _claw_through(adj: tuple[int, ...], k: int) -> bool:
-    """Whether the graph adj has an induced claw through vertex k, given
-    that it has none without k. Such a claw has k as its center (the first
-    search), or as a leaf. The second search finds the claws centered at a
-    neighbour of k with all three leaves outside N(k). Each has k as a
-    leaf: every claw of adj contains k, and its center is not k. Each claw
-    with k as a leaf is among them: its leaves are pairwise nonadjacent, so
-    the other two lie outside N(k)."""
-    return any(_claws(adj, 1 << k)) or any(_claws(adj, adj[k], ~adj[k]))
+def _triple_free(rows: tuple[int, ...], least: int = 0) -> Iterator[int]:
+    """Each mask over rows' vertices with no independent triple and at least
+    least members, once. Masks without a triple are closed under subsets,
+    so each is reached by adding its members in ascending order. A mask
+    may gain only the vertices in free: those above its last member that
+    complete no triple with a nonadjacent pair in it; and none once too
+    few are left to reach least members."""
+    stack = [(0, (1 << len(rows)) - 1)]  # a mask and its free vertices
+    while stack:
+        mask, free = stack.pop()
+        need = least - mask.bit_count()
+        if need <= 0:
+            yield mask
+        while free and free.bit_count() >= need:
+            bit = free & -free
+            free ^= bit
+            row = rows[bit.bit_length() - 1]
+            grown = free
+            for u in bits(mask & ~row):  # u, v nonadjacent: a third vertex needs an edge to one
+                grown &= row | rows[u]
+            stack.append((mask | bit, grown))
 
 
-def _class_levels(n: int, claw_free: bool = False) -> Iterator[list[tuple[tuple[int, ...], int]]]:
+def _class_levels(n: int, claw_free: bool = False, connected: bool = False
+                  ) -> Iterator[list[tuple[tuple[int, ...], int]]]:
     """The isomorphism classes on 1, 2, .., n vertices, one level at a
     time, each as its ascending list of (canonical key, |Aut|), by
     canonical deletion (McKay, "Isomorph-free exhaustive generation", J.
@@ -151,8 +164,16 @@ def _class_levels(n: int, claw_free: bool = False) -> Iterator[list[tuple[tuple[
 
     With claw_free only the classes without an induced claw are made.
     Deleting a vertex of a claw-free graph leaves it claw-free, so they all
-    grow from claw-free parents, and a child is dropped, before it is
-    canonicalized, when it has a claw through k (_claw_through)."""
+    grow from claw-free parents, and each claw of a child holds k. k is its
+    center exactly when N(k) holds an independent triple, so only the masks
+    of _triple_free are walked, none smaller than the degree test allows.
+    As a leaf, k's claw has its center in N(k) and its other leaves,
+    nonadjacent to k, outside it, where the leaf search looks before the
+    child is canonicalized.
+
+    With connected the last level keeps only its connected classes: the
+    children whose N(k) meets every component of the parent. Automorphisms
+    permute the components, so this test too drops whole orbits."""
     level = [((0,), 1)]
     groups = {(0,): ([(0,)], [])}
     yield level
@@ -166,10 +187,13 @@ def _class_levels(n: int, claw_free: bool = False) -> Iterator[list[tuple[tuple[
             at_top = mask_of(v for v, dv in enumerate(degs) if dv == top)
             auts, classes = groups[key]
             alone = ~sum(classes)
+            comps = (components(Graph._unchecked(k, rows), (1 << k) - 1)
+                     if connected and k == n - 1 else ())
             seen = bytearray(1 << k)
-            for nbrs in range(1 << k):
+            for nbrs in _triple_free(rows, top) if claw_free else range(1 << k):
                 d = nbrs.bit_count()
-                if seen[nbrs] or d < top or d == top and nbrs & at_top:
+                if (seen[nbrs] or d < top or d == top and nbrs & at_top
+                        or not all(map(nbrs.__and__, comps))):
                     continue
                 for perm in auts:
                     m = mask_of(perm[i] for i in bits(nbrs))
@@ -181,7 +205,7 @@ def _class_levels(n: int, claw_free: bool = False) -> Iterator[list[tuple[tuple[
                         seen[mark] = 1
                 child = tuple(row | 1 << k if nbrs >> v & 1 else row
                               for v, row in enumerate(rows)) + (nbrs,)
-                if claw_free and _claw_through(child, k):
+                if claw_free and any(_claws(child, nbrs, ~nbrs)):
                     continue
                 cells = _cells(child)
                 last = next(c for c in reversed(cells) if child[next(bits(c))].bit_count() == d)
@@ -197,12 +221,3 @@ def _class_levels(n: int, claw_free: bool = False) -> Iterator[list[tuple[tuple[
         groups = kept
         yield level
 
-
-def _graph_classes(n: int, claw_free: bool = False) -> Iterator[tuple[Graph, int]]:
-    """One graph per isomorphism class on n vertices, labeled by its
-    canonical key, with its number of labeled copies n!/|Aut|, in ascending
-    key order: the last level of _class_levels(n, claw_free)."""
-    *_, level = _class_levels(n, claw_free)
-    labeled = math.factorial(n)
-    for key, aut in level:
-        yield Graph._unchecked(n, _rows_of_key(key)), labeled // aut

@@ -12,13 +12,18 @@ run_corpus feeds the engine any stream of graphs, each counted once.
 run_corpus_enumerated covers every labeled graph on n vertices but
 solves one canonical representative per isomorphism class, counted
 n!/|Aut| times, since forcing numbers, claw-freeness and connectivity do
-not depend on the labeling. Failure lists carry graph6 strings in stream
-order: input order for run_corpus, one canonical representative per
-class, in canonical-key order, for run_corpus_enumerated. Corollary mode
-decides each connected induced subgraph as theorem mode decides a graph.
+not depend on the labeling. Theorem mode makes only the connected classes
+at n. As a claw is connected, the labeled claw-free graphs on j vertices,
+a_j, c_j of them connected, obey a_j = sum_i C(j-1, i-1) c_i a_{j-i}, i
+the size of vertex 0's component, which gives a_n from the levels.
+Failure lists carry graph6 strings in stream order: input order for
+run_corpus, one canonical representative per class, in canonical-key
+order, for run_corpus_enumerated. Corollary mode decides each connected
+induced subgraph as theorem mode decides a graph.
 """
 from __future__ import annotations
 
+import math
 from types import SimpleNamespace
 from typing import Callable, NamedTuple
 
@@ -119,7 +124,7 @@ def is_zz_perfect_direct(g: Graph) -> bool:
 class _Mode(NamedTuple):
     decide: Callable[[Graph, bool], "bool | None"]  # failed, or None if not checked
     cap: int  # enumeration takes n = 1..cap
-    claw_free_only: bool  # enumeration makes only the claw-free classes
+    claw_free_only: bool  # enumeration makes only the claw-free classes, connected at n
 
 
 def _monotonicity_fails(g: Graph, claw_free: bool) -> bool:
@@ -177,7 +182,17 @@ def run_corpus_enumerated(n: int, mode: str, jobs: int | None = None) -> CorpusS
     if not 1 <= n <= spec.cap:
         raise ValueError(f"enumeration supports 1..{spec.cap} vertices "
                          f"(n <= {spec.cap}) in {mode} mode, got {n}")
-    from .classes import _graph_classes  # only enumeration needs the class generator
-    summary = _run_weighted(_graph_classes(n, claw_free=spec.claw_free_only), mode)
+    from .classes import _class_levels, _rows_of_key  # only enumeration needs the class walk
+    only = spec.claw_free_only  # such a mode decides only the connected claw-free classes
+    a, c = [1], []  # labeled graphs in the stream on j vertices, and the connected ones
+    for j, level in enumerate(_class_levels(n, only, only), 1):
+        w = sum(math.factorial(j) // aut for _, aut in level)
+        rest = sum(math.comb(j - 1, i - 1) * c[i - 1] * a[j - i] for i in range(1, j))
+        c.append(w if only and j == n else w - rest)
+        a.append(rest + c[-1])
+    summary = _run_weighted(((Graph._unchecked(n, _rows_of_key(key)), math.factorial(n) // aut)
+                             for key, aut in level), mode)
     summary.total = 1 << (n * (n - 1) // 2)  # also the graphs a claw-free stream skips
+    if only:
+        summary.claw_free = a[n]  # the disconnected claw-free graphs included
     return summary

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import math
 import os
 from pathlib import Path
 
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import HealthCheck, settings, strategies as st
 
 from zforcing import Graph, from_edge_list, graph_from_edge_mask
+from zforcing.classes import _class_levels, _rows_of_key
 
 settings.register_profile(
     "suite",
@@ -49,3 +51,13 @@ def graphs(draw, min_n: int = 1, max_n: int = 6):
     m = n * (n - 1) // 2
     mask = draw(st.integers(min_value=0, max_value=(1 << m) - 1))
     return graph_from_edge_mask(n, mask)
+
+
+def graph_classes(n: int, claw_free: bool = False):
+    """One graph per isomorphism class on n vertices, labeled by its
+    canonical key, with its number of labeled copies n!/|Aut|, in ascending
+    key order: the last level of _class_levels(n, claw_free)."""
+    *_, level = _class_levels(n, claw_free)
+    labeled = math.factorial(n)
+    for key, aut in level:
+        yield Graph._unchecked(n, _rows_of_key(key)), labeled // aut

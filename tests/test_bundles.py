@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from conftest import TWO_DIAMONDS_EDGES, two_diamonds_graph
+from conftest import TWO_DIAMONDS_EDGES, graph_classes, two_diamonds_graph
 from naive import comps_of
 from zforcing import (
     Chronology,
@@ -27,7 +27,7 @@ from zforcing import (
     terminus,
     valid_forces,
 )
-from zforcing.classes import _class_levels, _graph_classes, _rows_of_key
+from zforcing.classes import _class_levels, _rows_of_key
 from zforcing.forcing import _least, _walk
 
 B0 = mask_of([1, 3, 5])
@@ -124,7 +124,7 @@ class TestBuildBundle:
         # rules, the greedy closure and (when it forces everything) the lex
         # list, and every vertex the run colours
         for n in range(1, 6):
-            for g, _ in _graph_classes(n):
+            for g, _ in graph_classes(n):
                 for b in range(1, 1 << n):
                     for rule in Rule:
                         chron, states = closure(g, b, rule)

@@ -360,10 +360,10 @@ class TestVerify:
         assert "error:" in err and "n <= 6" in err
 
     def test_theorem_enumerate_10_is_usage_error(self, capsys, monkeypatch):
-        def refuse(n, claw_free=False):
+        def refuse(*args, **kwargs):
             raise AssertionError("no graph may be generated")
 
-        monkeypatch.setattr("zforcing.classes._graph_classes", refuse)
+        monkeypatch.setattr("zforcing.classes._class_levels", refuse)
         code, doc, err = run_cli(
             capsys, ["verify", "--mode", "theorem", "--enumerate", "10"])
         assert code == 2
@@ -377,7 +377,7 @@ class TestVerify:
         def refuse(*args, **kwargs):
             raise AssertionError("no graph may be generated")
 
-        monkeypatch.setattr("zforcing.classes._graph_classes", refuse)
+        monkeypatch.setattr("zforcing.classes._class_levels", refuse)
         code, doc, err = run_cli(capsys, ["verify", "--mode", mode, "--enumerate", str(n)])
         assert (code, doc) == (2, None)
         assert err == f"error: enumeration supports 1..{cap} vertices (n <= {cap}) " \

@@ -9,7 +9,7 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import graphs, two_diamonds_graph
+from conftest import graph_classes, graphs, two_diamonds_graph
 from naive import naive_canonical, naive_cells, naive_claws, naive_edge_mask
 from zforcing import (
     Graph,
@@ -34,8 +34,7 @@ from zforcing import (
     to_graph6,
 )
 from zforcing import classes
-from zforcing.classes import (_canonical, _carry, _cells, _class_levels, _claw_through,
-                              _graph_classes, _rows_of_key)
+from zforcing.classes import _canonical, _carry, _cells, _class_levels, _rows_of_key, _triple_free
 from zforcing.graphs import _claws
 
 
@@ -216,7 +215,7 @@ class TestClaws:
         # and the neighbours of a vertex as centers with leaves outside them
         rng = random.Random(28)
         for n in range(1, 7):
-            for g, _ in _graph_classes(n):
+            for g, _ in graph_classes(n):
                 claws = naive_claws(g)
                 masks = [(g.full_mask, -1)]
                 masks += [(rng.getrandbits(n), rng.getrandbits(n)) for _ in range(3)]
@@ -266,7 +265,7 @@ def aut_count(g: Graph) -> int:
 class TestGraphClasses:
     def test_frozen_counts_and_weights_sum_to_labeled_count(self):
         for n, count in CLASSES.items():
-            classes = list(_graph_classes(n))
+            classes = list(graph_classes(n))
             assert len(classes) == count
             assert sum(w for _, w in classes) == 1 << (n * (n - 1) // 2)
             keys = [_canonical(g.adj)[0] for g, _ in classes]
@@ -283,7 +282,7 @@ class TestGraphClasses:
             for g in enumerate_graphs(n):
                 key = _canonical(g.adj)[0]
                 seen[key] = seen.get(key, 0) + 1
-            assert seen == {_canonical(g.adj)[0]: w for g, w in _graph_classes(n)}
+            assert seen == {_canonical(g.adj)[0]: w for g, w in graph_classes(n)}
 
     def test_automorphism_counts_of_known_graphs(self):
         for n in range(1, 7):
@@ -307,30 +306,46 @@ class TestGraphClasses:
     def test_claw_free_classes_are_the_claw_free_subset(self):
         # same keys, weights and order as filtering the full stream
         for n, count in CLAW_FREE_CLASSES.items():
-            classes = list(_graph_classes(n, claw_free=True))
+            classes = list(graph_classes(n, claw_free=True))
             assert len(classes) == count
-            assert classes == [(g, w) for g, w in _graph_classes(n) if is_claw_free(g)]
+            assert classes == [(g, w) for g, w in graph_classes(n) if is_claw_free(g)]
 
     def test_claw_through_matches_the_center_search(self):
-        # every child of every claw-free class on up to 7 vertices: the
-        # parent has no claw, so a claw in the child goes through k
+        # every claw-free class on up to 7 vertices: the masks the claw-free
+        # walk takes are, once each, the neighbourhoods that make the new
+        # vertex k the center of no claw, and the size bound keeps the
+        # large ones
         for k in range(1, 8):
-            for g, _ in _graph_classes(k, claw_free=True):
+            for g, _ in graph_classes(k, claw_free=True):
+                centerless = []
                 for nbrs in range(1 << k):
                     child = tuple(row | 1 << k if nbrs >> v & 1 else row
                                   for v, row in enumerate(g.adj)) + (nbrs,)
-                    assert _claw_through(child, k) == any(_claws(child, nbrs | 1 << k))
+                    if not any(_claws(child, 1 << k)):
+                        centerless.append(nbrs)
+                for least in range(k + 2):
+                    walked = list(_triple_free(g.adj, least))
+                    assert sorted(walked) == [m for m in centerless if m.bit_count() >= least]
 
     def test_claw_through_matches_reference(self):
-        # every child of every claw-free class on up to 6 vertices, against
-        # the brute-force claws of the child
+        # every claw-free class on up to 6 vertices: on the walked masks the
+        # leaf search finds a claw exactly when the child has one through
+        # k, by the brute-force claws of the child
         for k in range(1, 7):
-            for g, _ in _graph_classes(k, claw_free=True):
-                for nbrs in range(1 << k):
+            for g, _ in graph_classes(k, claw_free=True):
+                for nbrs in _triple_free(g.adj):
                     child = tuple(row | 1 << k if nbrs >> v & 1 else row
                                   for v, row in enumerate(g.adj)) + (nbrs,)
                     expect = any(k in (c, *trio) for c, trio in naive_claws(Graph(k + 1, child)))
-                    assert _claw_through(child, k) == expect
+                    assert any(_claws(child, nbrs, ~nbrs)) == expect
+
+    def test_connected_last_level_is_the_connected_subset(self):
+        # the lower levels stay whole: the next level grows from them
+        for n in range(1, 8):
+            *lower, last = _class_levels(n, True)
+            connected = [(key, aut) for key, aut in last
+                         if is_connected(Graph(n, _rows_of_key(key)))]
+            assert list(_class_levels(n, True, True)) == [*lower, connected]
 
     @pytest.mark.parametrize("claw_free, top", [(False, 7), (True, 8)],
                              ids=["all", "claw_free"])
@@ -340,13 +355,13 @@ class TestGraphClasses:
         for k, level in enumerate(levels, 1):
             graphs_k = [(Graph(k, _rows_of_key(key)), math.factorial(k) // aut)
                         for key, aut in level]
-            assert graphs_k == list(_graph_classes(k, claw_free))
+            assert graphs_k == list(graph_classes(k, claw_free))
 
     def test_claw_free_filter_drops_a_new_leaf(self):
         # K_{1,3} grows from the path P_3 by a vertex on the path's middle:
         # the new vertex is only a leaf, so a filter that asked whether it
         # is a center would keep the star
-        keys = {_canonical(g.adj)[0] for g, _ in _graph_classes(4, claw_free=True)}
+        keys = {_canonical(g.adj)[0] for g, _ in graph_classes(4, claw_free=True)}
         assert len(keys) == 10
         assert _canonical(star_graph(3).adj)[0] not in keys
 
@@ -361,7 +376,7 @@ class TestGraphClasses:
             if h.number_of_nodes() in atlas:
                 atlas[h.number_of_nodes()].append(h)
         for n, graphs_n in atlas.items():
-            classes = {_canonical(g.adj)[0]: g for g, _ in _graph_classes(n)}
+            classes = {_canonical(g.adj)[0]: g for g, _ in graph_classes(n)}
             keys = []
             claw_free = set()
             for h in graphs_n:
@@ -374,7 +389,7 @@ class TestGraphClasses:
                     claw_free.add(key)
             assert len(set(keys)) == len(keys) == len(classes)  # distinct, all hit
             assert claw_free == {_canonical(g.adj)[0]
-                                 for g, _ in _graph_classes(n, claw_free=True)}
+                                 for g, _ in graph_classes(n, claw_free=True)}
 
 
 def twin_heavy(n: int):
@@ -414,7 +429,7 @@ class TestCanonicalOracle:
 
     def test_every_class_to_seven(self):
         for n in range(1, 8):
-            for g, _ in _graph_classes(n):
+            for g, _ in graph_classes(n):
                 self.agree(g)
 
     def test_twin_heavy_families_at_eight(self):
@@ -438,7 +453,7 @@ class TestCellsOracle:
 
     def test_every_class_to_seven(self):
         for n in range(1, 8):
-            for g, _ in _graph_classes(n):
+            for g, _ in graph_classes(n):
                 self.agree(g)
 
     def test_twin_heavy_families_at_eight(self):
@@ -530,7 +545,7 @@ class TestClassCountTransforms:
         top = 7
         classes, labeled, conn_classes, conn_labeled = [1], [1], [0], [0]
         for n in range(1, top + 1):
-            stream = list(_graph_classes(n, claw_free))
+            stream = list(graph_classes(n, claw_free))
             classes.append(len(stream))
             labeled.append(sum(w for _, w in stream))
             conn = [w for g, w in stream if is_connected(g)]

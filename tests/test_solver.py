@@ -8,7 +8,7 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import given
 
-from conftest import TWO_DIAMONDS_EDGES, graphs, two_diamonds_graph
+from conftest import TWO_DIAMONDS_EDGES, graph_classes, graphs, two_diamonds_graph
 from naive import (comps_of, naive_forcing_number, naive_is_forcing,
                    naive_minimum_sets, naive_search, naive_search_by_component,
                    naive_treewidth)
@@ -30,7 +30,7 @@ from zforcing import (
     star_graph,
 )
 from zforcing import solver
-from zforcing.classes import _canonical, _graph_classes
+from zforcing.classes import _canonical
 from zforcing.solver import _search_min
 
 
@@ -120,7 +120,7 @@ class TestSearchOrder:
 
     def test_matches_reference_on_classes(self):
         for n in range(1, 7):
-            for g, _ in _graph_classes(n):
+            for g, _ in graph_classes(n):
                 for rule in Rule:
                     k, combo, tried = naive_search(g, rule.value)
                     assert _search(g, rule) == (k, mask_of(combo), tried)
@@ -296,7 +296,7 @@ class TestFirstForceFilter:
     @pytest.mark.parametrize("rule", list(Rule), ids=lambda r: r.value)
     def test_matches_unfiltered_scan_on_classes(self, rule):
         for n in range(1, 7):
-            for g, _ in _graph_classes(n):
+            for g, _ in graph_classes(n):
                 self._check(g, rule)
 
     def test_whole_vertex_set_is_never_skipped(self):
@@ -354,7 +354,7 @@ class TestForcingPrefix:
         monkeypatch.setattr(solver, "_forcing_sets_of_size",
                             lambda adj, n, k, *rest: sizes.append(k) or scan(adj, n, k, *rest))
         for n in range(1, 8):
-            for g, _ in _graph_classes(n):
+            for g, _ in graph_classes(n):
                 k0 = next(k for k in range(1, n + 1)
                           if naive_is_forcing(g, set(range(k)), rule.value))
                 sizes.clear()
@@ -383,7 +383,7 @@ class TestForcingPrefix:
 
         monkeypatch.setattr(solver, "_close", pinned)
         for n in range(1, 8):
-            for g, _ in _graph_classes(n):
+            for g, _ in graph_classes(n):
                 for rule in Rule:
                     failed.clear()
                     _search_min(g.adj, g.n, rule)
@@ -491,7 +491,7 @@ def _sparse_connected_classes(top):
 @pytest.fixture(scope="module")
 def exact_treewidths():
     """(class, exact tree-width) for every class with n <= 7."""
-    return [(g, naive_treewidth(g)) for n in range(1, 8) for g, _ in _graph_classes(n)]
+    return [(g, naive_treewidth(g)) for n in range(1, 8) for g, _ in graph_classes(n)]
 
 
 class TestTreewidthBound:
@@ -511,7 +511,7 @@ class TestTreewidthBound:
 
     def test_below_both_numbers_on_classes(self):
         for n in range(1, 7):
-            for g, _ in _graph_classes(n):
+            for g, _ in graph_classes(n):
                 bound = solver._treewidth_bound(g.adj)
                 assert bound <= naive_forcing_number(g, "psd") \
                     <= naive_forcing_number(g, "standard")
@@ -520,7 +520,7 @@ class TestTreewidthBound:
         # the min degree where sizes 1-2 end the search or edges are few
         by_min_degree = 0
         for n in range(1, 7):
-            for g, _ in _graph_classes(n):
+            for g, _ in graph_classes(n):
                 for rule in Rule:
                     k, _, bound = _search_min(g.adj, g.n, rule)
                     assert type(bound) is int
@@ -634,7 +634,7 @@ class TestTreewidthBound:
         # min degree <= 2 and b > max(min degree, 1)
         skipping = []
         for n in range(1, 7):
-            for g, _ in _graph_classes(n):
+            for g, _ in graph_classes(n):
                 least = min(map(int.bit_count, g.adj))
                 if (g.edge_count >= max(10, n) and least <= 2
                         and solver._treewidth_bound(g.adj) > max(least, 1)):
@@ -659,7 +659,7 @@ class TestTreewidthBound:
         close = solver._close
         monkeypatch.setattr(solver, "_close",
                             lambda *args: calls.append(None) or close(*args))
-        classes = [g for n in range(1, 8) for g, _ in _graph_classes(n)]
+        classes = [g for n in range(1, 8) for g, _ in graph_classes(n)]
         for g in classes:
             for rule in Rule:
                 _search_min(g.adj, g.n, rule)

@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import pytest
 
-from conftest import two_diamonds_graph
+from conftest import graph_classes, two_diamonds_graph
 from naive import comps_of, naive_forcing_number, naive_search, naive_valid_forces
 from zforcing import solver, verifier
 from zforcing import (
@@ -25,7 +25,7 @@ from zforcing import (
     star_graph,
     to_graph6,
 )
-from zforcing.classes import _canonical, _graph_classes, _rows_of_key
+from zforcing.classes import _canonical, _rows_of_key
 from zforcing.documents import MODES
 from zforcing.verifier import MirrorStep
 
@@ -92,7 +92,7 @@ class TestMirrorCheck:
         # the oracle's white-set connectivity and standard-rule test
         seen = {False: 0, True: 0}
         for n in range(1, 7):
-            for g, _ in _graph_classes(n, claw_free=True):
+            for g, _ in graph_classes(n, claw_free=True):
                 if not is_connected(g):
                     continue
                 for s in range(1 << n):
@@ -141,7 +141,7 @@ class TestPerfection:
         # disconnected subgraphs and ones with claws included
         perfect = classes = 0
         for n in range(1, 6):
-            for g, _ in _graph_classes(n):
+            for g, _ in graph_classes(n):
                 classes += 1
                 subs = (induced_subgraph(g, smask)[0] for smask in range(1, g.full_mask + 1))
                 expected = all(naive_forcing_number(h, "standard") == naive_forcing_number(h, "psd")
@@ -161,7 +161,7 @@ class TestPerfection:
 
         monkeypatch.setattr(verifier, "_numbers_differ", connected_only)
         for n in range(1, 7):
-            for g, _ in _graph_classes(n):
+            for g, _ in graph_classes(n):
                 assert is_zz_perfect_direct(g) == is_claw_free(g)
 
 
@@ -230,7 +230,7 @@ class TestNumbersDiffer:
         # claw graphs and disconnected ones included; the star K_{1,3} has
         # Z = 2 and Z+ = 1
         for n in range(1, 7):
-            for g, _ in _graph_classes(n):
+            for g, _ in graph_classes(n):
                 z = naive_forcing_number(g, "standard")
                 zp = naive_forcing_number(g, "psd")
                 assert verifier._numbers_differ(g) == (z != zp)
@@ -244,7 +244,7 @@ class TestNumbersDiffer:
         # on every class, disconnected ones included, and must give the
         # oracle's value, lex-least witness and tested count
         differ = 0
-        for g, _ in _graph_classes(7):
+        for g, _ in graph_classes(7):
             numbers = []
             for rule in solver.Rule:
                 k, combo, tried = naive_search(g, rule.value)
@@ -272,7 +272,7 @@ class TestNumbersDiffer:
 
         monkeypatch.setattr(solver, "_treewidth_bound", counted)
         monkeypatch.setattr(solver, "_exceeds_treewidth", counted_check)
-        for g in (complete_graph(7), cycle_graph(7)) + tuple(g for g, _ in _graph_classes(6)):
+        for g in (complete_graph(7), cycle_graph(7)) + tuple(g for g, _ in graph_classes(6)):
             calls.clear()
             checks.clear()
             solver._search_min(g.adj, g.n, solver.Rule.STANDARD)
@@ -345,11 +345,18 @@ class TestEnumeratedCorpus:
         with pytest.raises(ValueError):
             run_corpus_enumerated(4, "bogus")
 
+    def test_theorem_counts_the_disconnected_claw_free_graphs(self):
+        # theorem mode makes only the connected classes at n, and adds the
+        # rest by the exponential transform of the lower levels
+        for n in range(1, 8):
+            full = sum(w for _, w in graph_classes(n, claw_free=True))
+            assert run_corpus_enumerated(n, "theorem").claw_free == full
+
     def test_corollary_rejects_n7_up_front(self, monkeypatch):
-        def refuse(n):
+        def refuse(*args, **kwargs):
             raise AssertionError("no graph may be generated")
 
-        monkeypatch.setattr("zforcing.classes._graph_classes", refuse)
+        monkeypatch.setattr("zforcing.classes._class_levels", refuse)
         with pytest.raises(ValueError, match="n <= 6"):
             run_corpus_enumerated(7, "corollary")
 
@@ -376,7 +383,7 @@ class TestModeRecords:
         def refuse(*args, **kwargs):
             raise AssertionError("no graph may be generated")
 
-        monkeypatch.setattr("zforcing.classes._graph_classes", refuse)
+        monkeypatch.setattr("zforcing.classes._class_levels", refuse)
         cap = verifier._MODES[mode].cap
         for n in (0, cap + 1, cap + 2):
             with pytest.raises(ValueError, match=rf"supports 1\.\.{cap} vertices \(n <= {cap}\) "

@@ -17,18 +17,24 @@ def _cells(adj: tuple[int, ...]) -> list[int]:
     """Iterated degree refinement: the vertices split into ordered cells
     (masks) by degree, then by how many neighbours they have in each current
     cell, until no cell splits. Relabeling the graph relabels the cells and
-    keeps their order."""
+    keeps their order. A later round's signature is the bytes of those
+    counts: a count is at most 63, below 256, so bytes sort as the tuples
+    of counts do. Vertices with equal counts in a round's cells have equal
+    counts in the coarser cells of the round before, which are sums of
+    them, so they already shared a cell: a round only splits cells, and a
+    partition into single vertices is final."""
     sig = list(map(int.bit_count, adj))
     cells: list[int] = []
     while True:
-        order = sorted(set(sig))
-        if len(order) == len(cells):
-            return cells
-        rank = {s: i for i, s in enumerate(order)}
-        cells = [0] * len(order)
+        group: dict[int | bytes, int] = {}
         for v, s in enumerate(sig):
-            cells[rank[s]] |= 1 << v
-        sig = [tuple(map(int.bit_count, map(a.__and__, cells))) for a in adj]
+            group[s] = group.get(s, 0) | 1 << v
+        if len(group) == len(cells):
+            return cells
+        cells = [group[s] for s in sorted(group)]
+        if len(cells) == len(adj):
+            return cells
+        sig = [bytes(map(int.bit_count, map(a.__and__, cells))) for a in adj]
 
 
 def _canonical(adj: tuple[int, ...], cells: list[int] | None = None
@@ -56,13 +62,16 @@ def _canonical(adj: tuple[int, ...], cells: list[int] | None = None
     frontier: list[tuple[tuple[int, ...], int]] = [((), 0)]
     key = []
     for cell in cells or _cells(adj):
-        members = list(bits(cell))
-        for i, v in enumerate(members):
-            for u in members[:i]:
-                if not (adj[u] ^ adj[v]) & ~(1 << u | 1 << v):
-                    twin[u] |= 1 << v
-                    twin[v] |= 1 << u
-        members = [(v, 1 << v, twin[v] & ((1 << v) - 1)) for v in members]
+        if cell & cell - 1:
+            members = list(bits(cell))
+            for i, v in enumerate(members):
+                for u in members[:i]:
+                    if not (adj[u] ^ adj[v]) & ~(1 << u | 1 << v):
+                        twin[u] |= 1 << v
+                        twin[v] |= 1 << u
+            members = [(v, 1 << v, twin[v] & ((1 << v) - 1)) for v in members]
+        else:  # one vertex: no twins, and one candidate per partial labeling
+            members = [(cell.bit_length() - 1, cell, 0)]
         for _ in members:
             best = -1
             nxt = []
@@ -156,11 +165,14 @@ def _class_levels(n: int, claw_free: bool = False, connected: bool = False
     normal in Aut, every automorphism is t o sigma for some t in T and
     carried sigma. So a neighbourhood's orbit is marked as, for each sigma,
     every mask with as many members as sigma(nbrs) in each twin class and
-    the same members outside them. Only the level being extended keeps its
-    labelings. The child's test needs no twin step: k is in the orbit of
-    position p exactly when some returned L has a twin of k at p, and that
-    twin is k itself, since p is the last position of k's cell and L places
-    k after its twins, which have lower ids.
+    the same members outside them. The first sigma is inv o L0, the
+    identity, so its image of nbrs is nbrs. Only the level being extended
+    keeps its labelings. The child's test needs no twin step: k is in the
+    orbit of position p exactly when some returned L has a twin of k at p,
+    and that twin is k itself, since p is the last position of k's cell and
+    L places k after its twins, which have lower ids. A labeling fills the
+    cells in order, so p is read from the cell sizes: the last cell of
+    degree-d vertices ends there.
 
     With claw_free only the classes without an induced claw are made.
     Deleting a vertex of a claw-free graph leaves it claw-free, so they all
@@ -195,8 +207,8 @@ def _class_levels(n: int, claw_free: bool = False, connected: bool = False
                 if (seen[nbrs] or d < top or d == top and nbrs & at_top
                         or not all(map(nbrs.__and__, comps))):
                     continue
-                for perm in auts:
-                    m = mask_of(perm[i] for i in bits(nbrs))
+                for j, perm in enumerate(auts):
+                    m = mask_of(perm[i] for i in bits(nbrs)) if j else nbrs  # auts[0] is the identity
                     marks = [m & alone]
                     for c in classes:
                         marks = [a | mask_of(t) for a in marks
@@ -208,11 +220,14 @@ def _class_levels(n: int, claw_free: bool = False, connected: bool = False
                 if claw_free and any(_claws(child, nbrs, ~nbrs)):
                     continue
                 cells = _cells(child)
-                last = next(c for c in reversed(cells) if child[next(bits(c))].bit_count() == d)
-                if not last >> k & 1:  # p, below, lies in that cell
+                p = k  # becomes the last position of the last cell of degree-d vertices
+                for last in reversed(cells):
+                    if child[last.bit_length() - 1].bit_count() == d:
+                        break
+                    p -= last.bit_count()
+                if not last >> k & 1:
                     continue
                 child_key, labelings, twin, aut = _canonical(child, cells)
-                p = max(i for i, v in enumerate(labelings[0]) if child[v].bit_count() == d)
                 if any(lab[p] == k for lab in labelings):
                     children.append((child_key, aut))
                     if k + 1 < n:

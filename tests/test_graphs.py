@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import functools
+import hashlib
 import itertools
 import math
 import operator
@@ -347,6 +348,12 @@ class TestGraphClasses:
                          if is_connected(Graph(n, _rows_of_key(key)))]
             assert list(_class_levels(n, True, True)) == [*lower, connected]
 
+    def test_claw_free_levels_pinned_at_eight(self):
+        # keys, |Aut| and order of every level up to n = 8, past the naive
+        # oracles' reach; a change to the walk or its kernels must keep them
+        digest = hashlib.sha256(repr(list(_class_levels(8, True))).encode()).hexdigest()
+        assert digest == "dda4ad971b9f85a3bb954b1e71af485b648c23267c028e8c8abc3e76ea09c349"
+
     @pytest.mark.parametrize("claw_free, top", [(False, 7), (True, 8)],
                              ids=["all", "claw_free"])
     def test_levels_are_the_smaller_streams(self, claw_free, top):
@@ -519,6 +526,7 @@ class TestCarriedGroup:
         levels = list(_class_levels(7, claw_free))
         assert set(carried) == {key for level in levels[1:6] for key, _ in level}
         for key, group in carried.items():
+            assert group[0][0] == tuple(range(len(key)))  # orbit marking maps nbrs by it as nbrs
             self.agree(key, group)
 
     def test_twin_heavy_families_at_eight(self):

@@ -352,6 +352,22 @@ class TestEnumeratedCorpus:
             full = sum(w for _, w in graph_classes(n, claw_free=True))
             assert run_corpus_enumerated(n, "theorem").claw_free == full
 
+    def test_theorem_trusts_the_walk(self, monkeypatch):
+        # the walk makes only connected claw-free classes, so neither
+        # filter runs on them, and the counts stay the frozen ones
+        def refuse(g):
+            raise AssertionError("the walk's classes need no filter")
+
+        monkeypatch.setattr(verifier, "is_claw_free", refuse)
+        monkeypatch.setattr(verifier, "is_connected", refuse)
+        claw_free = {1: 1, 2: 2, 3: 8, 4: 60, 5: 769, 6: 15272}
+        connected = {1: 1, 2: 1, 3: 4, 4: 34, 5: 493, 6: 10738}
+        for n in range(1, 7):
+            summary = run_corpus_enumerated(n, "theorem")
+            assert (summary.total, summary.claw_free, summary.checked) == \
+                (1 << n * (n - 1) // 2, claw_free[n], connected[n])
+            assert summary.failures == summary.errors == []
+
     def test_corollary_rejects_n7_up_front(self, monkeypatch):
         def refuse(*args, **kwargs):
             raise AssertionError("no graph may be generated")

@@ -139,8 +139,8 @@ def _triple_free(rows: tuple[int, ...], least: int = 0) -> Iterator[int]:
             stack.append((mask | bit, grown))
 
 
-def _class_levels(n: int, claw_free: bool = False, connected: bool = False
-                  ) -> Iterator[list[tuple[tuple[int, ...], int]]]:
+def _class_levels(n: int, claw_free: bool = False, connected: bool = False,
+                  keys: bool = True) -> Iterator[list[tuple[tuple[int, ...], int]]]:
     """The isomorphism classes on 1, 2, .., n vertices, one level at a
     time, each as its ascending list of (canonical key, |Aut|), by
     canonical deletion (McKay, "Isomorph-free exhaustive generation", J.
@@ -185,15 +185,26 @@ def _class_levels(n: int, claw_free: bool = False, connected: bool = False
 
     With connected the last level keeps only its connected classes: the
     children whose N(k) meets every component of the parent. Automorphisms
-    permute the components, so this test too drops whole orbits."""
+    permute the components, so this test too drops whole orbits.
+
+    Without keys the last level is (rows, |Aut|) in walk order, each child
+    its parent's key plus k. A child whose cell of k is a twin class (one
+    vertex counts) skips _canonical: cells are invariant and any permutation
+    of a twin class is an automorphism, so the cell is k's orbit and holds
+    position p. The automorphisms fixing k are the parent's fixing N(k), so
+    |Aut| is the parent's over nbrs' orbit size (the masks its marking newly
+    sets), times the cell's size."""
     level = [((0,), 1)]
     groups = {(0,): ([(0,)], [])}
     yield level
     for k in range(1, n):
         children = []
         kept = {}  # the next level's groups, if one follows
-        for key, _ in level:
+        ints = list(range(2 << k))  # one object per row value, shared by the level's children
+        walk = not keys and k == n - 1  # the last level, on the walk's own labeling
+        for key, order in level:
             rows = _rows_of_key(key)
+            pairs = [(ints[row], ints[row | 1 << k]) for row in rows]  # each row without and with k
             degs = [row.bit_count() for row in rows]
             top = max(degs)
             at_top = mask_of(v for v, dv in enumerate(degs) if dv == top)
@@ -207,6 +218,7 @@ def _class_levels(n: int, claw_free: bool = False, connected: bool = False
                 if (seen[nbrs] or d < top or d == top and nbrs & at_top
                         or not all(map(nbrs.__and__, comps))):
                     continue
+                orbit = 0  # nbrs' orbit: every mark is new, as it meets no orbit marked before
                 for j, perm in enumerate(auts):
                     m = mask_of(perm[i] for i in bits(nbrs)) if j else nbrs  # auts[0] is the identity
                     marks = [m & alone]
@@ -214,9 +226,9 @@ def _class_levels(n: int, claw_free: bool = False, connected: bool = False
                         marks = [a | mask_of(t) for a in marks
                                  for t in itertools.combinations(bits(c), (m & c).bit_count())]
                     for mark in marks:
+                        orbit += 1 - seen[mark]
                         seen[mark] = 1
-                child = tuple(row | 1 << k if nbrs >> v & 1 else row
-                              for v, row in enumerate(rows)) + (nbrs,)
+                child = tuple(pair[nbrs >> v & 1] for v, pair in enumerate(pairs)) + (nbrs,)
                 if claw_free and any(_claws(child, nbrs, ~nbrs)):
                     continue
                 cells = _cells(child)
@@ -227,12 +239,15 @@ def _class_levels(n: int, claw_free: bool = False, connected: bool = False
                     p -= last.bit_count()
                 if not last >> k & 1:
                     continue
+                if walk and all(not (child[v] ^ nbrs) & ~(1 << v | 1 << k) for v in bits(last)):
+                    children.append((child, order // orbit * last.bit_count()))  # a twin cell
+                    continue
                 child_key, labelings, twin, aut = _canonical(child, cells)
                 if any(lab[p] == k for lab in labelings):
-                    children.append((child_key, aut))
+                    children.append((child if walk else child_key, aut))
                     if k + 1 < n:
                         kept[child_key] = _carry(labelings, twin)
-        level = sorted(children)
+        level = children if walk else sorted(children)
         groups = kept
         yield level
 

@@ -19,16 +19,22 @@ them connected, obey a_j = sum_i C(j-1, i-1) c_i a_{j-i}, i the size of
 vertex 0's component, which gives a_n from the levels.
 Failure lists carry graph6 strings in stream order: input order for
 run_corpus, one canonical representative per class, in canonical-key
-order, for run_corpus_enumerated. Corollary mode decides each connected
-induced subgraph as theorem mode decides a graph.
+order, for run_corpus_enumerated. That run decides each class on the
+walk's labeling, its parent's key plus the new vertex; the documents are
+unchanged, as Z, Z+, claw-freeness and connectivity do not depend on the
+labeling. A class that fails or raises there is re-keyed: decided again,
+and listed, as its representative, and both lists are sorted by key.
+Corollary mode decides each connected induced subgraph as theorem mode
+decides a graph.
 """
 from __future__ import annotations
 
+import contextlib
 import math
 from types import SimpleNamespace
 from typing import Callable, NamedTuple
 
-from .graphs import Graph, induced_subgraph, is_claw_free, is_connected, reach, to_graph6
+from .graphs import Graph, induced_subgraph, is_claw_free, is_connected, parse_graph6, reach, to_graph6
 from .forcing import Force, Rule, _close, _least, _walk
 from .solver import _numbers_differ, _search_min, forcing_number
 
@@ -149,9 +155,10 @@ def _mode(mode: str) -> _Mode:
     return _MODES[mode]
 
 
-def _run_weighted(weighted, mode: str, known: bool = False) -> CorpusSummary:
+def _run_weighted(weighted, mode: str, known: bool = False, represent=None) -> CorpusSummary:
     # known: every graph is connected and claw-free, as a claw_free_only walk
-    # makes them, so neither is tested again and theorem's decision is _numbers_differ
+    # makes them, so neither is tested again and theorem's decision is _numbers_differ.
+    # represent(g) is decided, and recorded, in place of a g whose decision fails or raises
     decide = (lambda g, claw_free: _numbers_differ(g)) if known else _mode(mode).decide
     summary = CorpusSummary(mode=mode)
     for g, weight in weighted:
@@ -160,7 +167,14 @@ def _run_weighted(weighted, mode: str, known: bool = False) -> CorpusSummary:
             claw_free = known or is_claw_free(g)
             if claw_free:
                 summary.claw_free += weight
-            failed = decide(g, claw_free)
+            failed = True  # until a decision returns
+            if represent:
+                with contextlib.suppress(Exception):
+                    failed = decide(g, claw_free)
+                if failed:
+                    g = represent(g)
+            if failed:
+                failed = decide(g, claw_free)
             if failed is not None:  # checked only once its decision has returned
                 summary.checked += weight
                 if failed:
@@ -185,16 +199,19 @@ def run_corpus_enumerated(n: int, mode: str, jobs: int | None = None) -> CorpusS
     if not 1 <= n <= spec.cap:
         raise ValueError(f"enumeration supports 1..{spec.cap} vertices "
                          f"(n <= {spec.cap}) in {mode} mode, got {n}")
-    from .classes import _class_levels, _rows_of_key  # only enumeration needs the class walk
+    from .classes import _canonical, _class_levels, _rows_of_key  # only enumeration needs them
     only = spec.claw_free_only  # such a mode decides only the connected claw-free classes
     a, c = [1], []  # labeled graphs in the stream on j vertices, and the connected ones
-    for j, level in enumerate(_class_levels(n, only, only), 1):
+    for j, level in enumerate(_class_levels(n, only, only, False), 1):
         w = sum(math.factorial(j) // aut for _, aut in level)
         rest = sum(math.comb(j - 1, i - 1) * c[i - 1] * a[j - i] for i in range(1, j))
         c.append(w if only and j == n else w - rest)
         a.append(rest + c[-1])
-    summary = _run_weighted(((Graph._unchecked(n, _rows_of_key(key)), math.factorial(n) // aut)
-                             for key, aut in level), mode, only)
+    summary = _run_weighted(((Graph._unchecked(n, rows), math.factorial(n) // aut)
+                             for rows, aut in level), mode, only,
+                            lambda g: Graph._unchecked(n, _rows_of_key(_canonical(g.adj)[0])))
+    for found in summary.failures, summary.errors:  # each begins with its graph6
+        found.sort(key=lambda entry: _canonical(parse_graph6(entry.split(":")[0]).adj)[0])
     summary.total = 1 << (n * (n - 1) // 2)  # also the graphs a claw-free stream skips
     if only:
         summary.claw_free = a[n]  # the disconnected claw-free graphs included

@@ -348,6 +348,29 @@ class TestGraphClasses:
                          if is_connected(Graph(n, _rows_of_key(key)))]
             assert list(_class_levels(n, True, True)) == [*lower, connected]
 
+    @pytest.mark.parametrize("claw_free, top", [(False, 7), (True, 8)],
+                             ids=["all", "claw_free_connected"])
+    def test_keyless_last_level_is_the_keyed_one(self, claw_free, top):
+        # without keys the last level is the walk's rows in walk order: the
+        # same classes and |Aut| as the keyed level, and every |Aut| taken by
+        # orbit-stabilizer on a twin cell is _canonical's
+        twin_cells = 0
+        for n in range(1, top + 1):
+            *lower, keyed = _class_levels(n, claw_free, claw_free)
+            *lower_walked, walked = _class_levels(n, claw_free, claw_free, False)
+            assert lower_walked == lower
+            found = []
+            for rows, aut in walked:
+                assert Graph(n, rows).adj == rows
+                key, _, _, canonical_aut = _canonical(rows)
+                assert aut == canonical_aut
+                found.append((key, aut))
+                cell = next(c for c in _cells(rows) if c >> n - 1 & 1)
+                twin_cells += all(not (rows[v] ^ rows[n - 1]) & ~(1 << v | 1 << n - 1)
+                                  for v in bits(cell))
+            assert sorted(found) == keyed
+        assert twin_cells  # children accepted on a twin cell, without _canonical
+
     def test_claw_free_levels_pinned_at_eight(self):
         # keys, |Aut| and order of every level up to n = 8, past the naive
         # oracles' reach; a change to the walk or its kernels must keep them

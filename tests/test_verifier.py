@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import math
+
 import pytest
 
 from conftest import graph_classes, two_diamonds_graph
@@ -7,6 +9,7 @@ from naive import comps_of, naive_forcing_number, naive_search, naive_valid_forc
 from zforcing import solver, verifier
 from zforcing import (
     Force,
+    Graph,
     check_equality,
     complete_graph,
     cycle_graph,
@@ -25,7 +28,7 @@ from zforcing import (
     star_graph,
     to_graph6,
 )
-from zforcing.classes import _canonical, _rows_of_key
+from zforcing.classes import _canonical, _class_levels, _rows_of_key
 from zforcing.documents import MODES
 from zforcing.verifier import MirrorStep
 
@@ -334,6 +337,49 @@ class TestEnumeratedCorpus:
         key = _canonical(g.adj)[0]
         assert key == _canonical(star_graph(3).adj)[0]
         assert _rows_of_key(key) == g.adj
+
+    @pytest.mark.parametrize("mode, n", [("theorem", 6), ("monotonicity", 5)])
+    def test_failures_and_errors_name_representatives_in_key_order(self, monkeypatch, mode, n):
+        # the walk decides each class on its own labeling; a class that fails
+        # or raises there is decided again, and listed, as its representative
+        only = verifier._MODES[mode].claw_free_only
+        *_, keyed = _class_levels(n, only, only)
+        *_, walked = _class_levels(n, only, only, False)
+        chosen = [key for key, _ in keyed[2::5]]
+        walk_keys = [_canonical(rows)[0] for rows, _ in walked]
+        # the walk meets them out of key order, some labeled otherwise than their keys
+        assert len(chosen) >= 4 and [key for key in walk_keys if key in chosen] != chosen
+        assert any(key in chosen and rows != _rows_of_key(key)
+                   for (rows, _), key in zip(walked, walk_keys))
+        reps = [to_graph6(Graph(n, _rows_of_key(key))) for key in chosen]
+        weight = sum(math.factorial(n) // aut for key, aut in keyed if key in chosen)
+
+        def run(decision):
+            if only:  # theorem's decision on the walk's classes is _numbers_differ
+                monkeypatch.setattr(verifier, "_numbers_differ", decision)
+            else:
+                monkeypatch.setitem(verifier._MODES, mode, verifier._MODES[mode]._replace(
+                    decide=lambda g, claw_free: decision(g)))
+            return run_corpus_enumerated(n, mode)
+
+        def fails(g):  # a labeling-invariant failure
+            return _canonical(g.adj)[0] in chosen
+
+        def raises(g):
+            if _canonical(g.adj)[0] in chosen:
+                raise RuntimeError("injected")
+            return False
+
+        clean = run(lambda g: False)
+        failed = run(fails)
+        assert failed.failures == reps
+        assert (failed.checked, failed.errors) == (clean.checked, [])
+        raised = run(raises)
+        assert raised.errors == [f"{g6}: RuntimeError: injected" for g6 in reps]
+        assert (raised.checked, raised.failures) == (clean.checked - weight, [])
+        # the representative's outcome is the one recorded
+        walk_only = run(lambda g: g.adj != _rows_of_key(_canonical(g.adj)[0]))
+        assert (walk_only.checked, walk_only.failures, walk_only.errors) == (clean.checked, [], [])
 
     def test_argument_validation(self):
         with pytest.raises(ValueError):

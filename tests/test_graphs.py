@@ -377,6 +377,16 @@ class TestGraphClasses:
         digest = hashlib.sha256(repr(list(_class_levels(8, True))).encode()).hexdigest()
         assert digest == "dda4ad971b9f85a3bb954b1e71af485b648c23267c028e8c8abc3e76ea09c349"
 
+    @pytest.mark.parametrize("args, expect", [
+        ((8, True, True, False), "bfb5e710d6df7c865e8308a7f7969243cb80e16958f25db7228cf87cc433764e"),
+        ((7, False, False, False), "82c28d5ec5550b336cae91bdd5de6c6d1d4e117c6156d0108d3c15496d5d1eac"),
+    ], ids=["claw_free_connected_8", "all_7"])
+    def test_keyless_walk_pinned(self, args, expect):
+        # the keyless last level's rows, |Aut| and walk order, not only the
+        # sorted classes that the keyed comparison above reads
+        digest = hashlib.sha256(repr(list(_class_levels(*args))).encode()).hexdigest()
+        assert digest == expect
+
     @pytest.mark.parametrize("claw_free, top", [(False, 7), (True, 8)],
                              ids=["all", "claw_free"])
     def test_levels_are_the_smaller_streams(self, claw_free, top):

@@ -193,7 +193,11 @@ def _class_levels(n: int, claw_free: bool = False, connected: bool = False,
     of a twin class is an automorphism, so the cell is k's orbit and holds
     position p. The automorphisms fixing k are the parent's fixing N(k), so
     |Aut| is the parent's over nbrs' orbit size (the masks its marking newly
-    sets), times the cell's size."""
+    sets), times the cell's size. Most such children are settled before
+    _cells: when every vertex of degree d is a twin of k, that set is one
+    twin class, which refinement never splits, so it is the only cell of
+    degree-d vertices, hence the last, and k's orbit, and the child is kept
+    with the same |Aut| the twin cell would give."""
     level = [((0,), 1)]
     groups = {(0,): ([(0,)], [])}
     yield level
@@ -231,6 +235,11 @@ def _class_levels(n: int, claw_free: bool = False, connected: bool = False,
                 child = tuple(pair[nbrs >> v & 1] for v, pair in enumerate(pairs)) + (nbrs,)
                 if claw_free and any(_claws(child, nbrs, ~nbrs)):
                     continue
+                if walk:
+                    same = [v for v, row in enumerate(child) if row.bit_count() == d]
+                    if all(not (child[v] ^ nbrs) & ~(1 << v | 1 << k) for v in same):
+                        children.append((child, order // orbit * len(same)))  # a twin degree class
+                        continue
                 cells = _cells(child)
                 p = k  # becomes the last position of the last cell of degree-d vertices
                 for last in reversed(cells):

@@ -48,7 +48,14 @@ Sizes are visited in this order:
 - Every size below the bound fails without a search, since
   min degree <= b <= tw(G) <= Z+(G) <= Z(G) (tree-width; see below).
 - Sizes from the bound up to 2 are tried ascending, and the first success
-  returns.
+  returns. Size 1 is tried only on a graph with n - 1 edges and, under
+  the standard rule, no degree above 2. If {v} psd-forces G, v has
+  exactly one neighbour in each component of G - v, as only v can force
+  into it, each component is psd-forced from that neighbour alone, and
+  so by induction G is a tree. A standard forcing set psd-forces, so a
+  standard {v} makes G a tree too; each vertex forces at most once, so
+  the forces from {v} make one chain through all n vertices, whose n - 1
+  edges are all of the tree's: G is a path.
 - Then one closure finds k0, the least k from max(b, 3) (max(b + 1, 3)
   when the check below is due at b, which decides size b) whose prefix
   P_k = {0..k - 1} forces. P_k is the first size-k candidate and lies in
@@ -202,7 +209,8 @@ def _search_min(adj: tuple[int, ...], n: int, rule: Rule) -> tuple[int, int, int
         bound = 2
     else:
         bound = _treewidth_bound(adj)
-    for k in range(max(bound, 1), min(n, 2) + 1):
+    least = 1 if edges == n - 1 and (psd or max(map(int.bit_count, adj)) <= 2) else 2
+    for k in range(max(bound, least), min(n, 2) + 1):  # one vertex forces only trees, paths
         witness = next(_forcing_sets_of_size(adj, n, k, psd, forts), 0)
         if witness:
             return k, witness, bound

@@ -371,6 +371,26 @@ class TestGraphClasses:
             assert sorted(found) == keyed
         assert twin_cells  # children accepted on a twin cell, without _canonical
 
+    @pytest.mark.parametrize("claw_free, top, at_six", [(False, 7, 87), (True, 8, 38)],
+                             ids=["all", "claw_free_connected"])
+    def test_degree_twin_children_skip_refinement(self, monkeypatch, claw_free, top, at_six):
+        # a keyless last-level child whose degree-d vertices are all twins of
+        # k is accepted before _cells: that set is k's cell and its orbit.
+        # At n = 6 the parent refined 184 (all) and 62 (claw-free connected)
+        refined = []
+        cells = classes._cells
+        monkeypatch.setattr(classes, "_cells", lambda adj: refined.append(adj) or cells(adj))
+        for n in range(2, top + 1):
+            refined.clear()
+            list(_class_levels(n, claw_free, claw_free, False))
+            last = [rows for rows in refined if len(rows) == n]
+            if n == 6:
+                assert len(last) == at_six
+            for rows in last:
+                d = rows[-1].bit_count()
+                assert not all(not (row ^ rows[-1]) & ~(1 << v | 1 << n - 1)
+                               for v, row in enumerate(rows) if row.bit_count() == d)
+
     def test_claw_free_levels_pinned_at_eight(self):
         # keys, |Aut| and order of every level up to n = 8, past the naive
         # oracles' reach; a change to the walk or its kernels must keep them

@@ -653,8 +653,9 @@ class TestTreewidthBound:
 
     def test_closure_count_on_classes(self, monkeypatch):
         # every class with n <= 7 under both rules; trying sizes 1-2 before
-        # b is known ran 19,658 closures, and the descent from n - 1 in
-        # place of the growing prefix closure 16,170
+        # b is known ran 19,658 closures, the descent from n - 1 in place
+        # of the growing prefix closure 16,170, and a size-1 scan on graphs
+        # that are not trees (psd) or paths (standard) 13,614
         calls = []
         close = solver._close
         monkeypatch.setattr(solver, "_close",
@@ -663,7 +664,42 @@ class TestTreewidthBound:
         for g in classes:
             for rule in Rule:
                 _search_min(g.adj, g.n, rule)
-        assert (len(classes), len(calls)) == (1252, 13614)
+        assert (len(classes), len(calls)) == (1252, 11929)
+
+
+class TestSizeOne:
+    """One vertex psd-forces only a tree and standard-forces only a path, so
+    the search scans size 1 only on a graph with n - 1 edges, and under the
+    standard rule no degree above 2."""
+
+    def test_one_vertex_forces_exactly_paths_and_trees(self):
+        found = {rule: 0 for rule in Rule}
+        for n in range(1, 8):
+            for g, _ in graph_classes(n):
+                tree = is_connected(g) and g.edge_count == n - 1
+                path = tree and max(map(int.bit_count, g.adj)) <= 2
+                for rule, expect in ((Rule.STANDARD, path), (Rule.PSD, tree)):
+                    one = any(naive_is_forcing(g, {v}, rule.value) for v in range(n))
+                    assert one == expect, (g, rule)
+                    assert (_search_min(g.adj, g.n, rule)[0] == 1) == expect
+                    found[rule] += one
+        assert found == {Rule.STANDARD: 7, Rule.PSD: 25}  # paths and trees, n <= 7
+
+    def test_no_size_one_scan_where_one_vertex_cannot_force(self, monkeypatch):
+        scans = []
+        sets_of_size = solver._forcing_sets_of_size
+        monkeypatch.setattr(solver, "_forcing_sets_of_size",
+                            lambda adj, n, k, psd, forts: scans.append((adj, k, psd))
+                            or sets_of_size(adj, n, k, psd, forts))
+        for n in range(1, 8):
+            for g, _ in graph_classes(n):
+                for rule in Rule:
+                    _search_min(g.adj, g.n, rule)
+        ones = [(adj, psd) for adj, k, psd in scans if k == 1]
+        assert ones  # trees and paths still scan size 1
+        for adj, psd in ones:
+            assert sum(map(int.bit_count, adj)) == 2 * (len(adj) - 1)
+            assert psd or max(map(int.bit_count, adj)) <= 2
 
 
 class TestExceedsTreewidth:

@@ -24,7 +24,7 @@ import enum
 from itertools import islice
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
-from .graphs import Graph, _reach_near, mask_of
+from .graphs import Graph, mask_of, reach
 
 
 class Rule(enum.Enum):
@@ -113,7 +113,7 @@ def _forces(adj: Sequence[int], blue: int, white: int, psd: bool,
                 if comp & w:
                     break
             else:
-                comp = _reach_near(adj, w, white)[0]
+                comp = reach(adj, w, white)
                 comps.append(comp)
                 psd = comp != white
             # each component is met at its least neighbor of u, so targets

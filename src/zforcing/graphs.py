@@ -31,12 +31,10 @@ def mask_of(vertices: Iterable[int]) -> int:
     return m
 
 
-def _reach_near(adj: tuple[int, ...], seed: int, allowed: int) -> tuple[int, int]:
-    """Bitmask BFS: all vertices of `allowed` reachable from `seed & allowed`,
-    and the union of their neighbourhoods."""
+def reach(adj: tuple[int, ...], seed: int, allowed: int) -> int:
+    """Bitmask BFS: all vertices of `allowed` reachable from `seed & allowed`."""
     comp = seed & allowed
     frontier = comp
-    near = 0
     while frontier:
         nxt = 0
         f = frontier
@@ -44,17 +42,10 @@ def _reach_near(adj: tuple[int, ...], seed: int, allowed: int) -> tuple[int, int
             low = f & -f
             f ^= low
             nxt |= adj[low.bit_length() - 1]
-        near |= nxt
         nxt &= allowed & ~comp
         comp |= nxt
         frontier = nxt
-    return comp, near
-
-
-def reach(adj: tuple[int, ...], seed: int, allowed: int) -> int:
-    """All vertices of `allowed` reachable from `seed & allowed`; the BFS
-    is the one `_reach_near` runs."""
-    return _reach_near(adj, seed, allowed)[0]
+    return comp
 
 
 class Claw(NamedTuple):

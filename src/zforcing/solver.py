@@ -73,9 +73,8 @@ Sizes are visited in this order:
   descent stops with Z = b + 1 and size b is never searched. It runs only
   when n > b + 2: tw(G) <= n - 1, and tw(G) = n - 1 only for K_n, whose b
   is n - 1. Its search visits at most C(n, b) states, the candidates of
-  the scan it may replace, and at most n^2; out of budget, the
-  improved-graph contraction gets a last try, and if it proves nothing
-  either, the scan runs.
+  the scan it may replace, and at most n^2; out of budget it proves
+  nothing, and the scan runs.
 
 `_search_min` returns the bound it used with the size and witness: the
 min degree when the graph has fewer than 10 edges or fewer edges than
@@ -102,19 +101,7 @@ so when v's branch fails the state fails. A state costs O(nk) bit
 operations besides its children, so with at most n^2 states the search
 stays polynomial in time and memory.
 
-When the search runs out, the contraction runs with the improved-graph
-rule (Clautiaux, Carlier, Moukrim and Negre, 2003), as the LBN+ bound of
-Bodlaender and Koster ("Treewidth computations II. Lower bounds", 2011)
-does: if tw(G) <= k and non-adjacent v, w share more than k neighbours,
-then tw(G + vw) <= k. Take a decomposition of width k with no bag holding
-both v and w. All of w's bags lie past one tree edge (i, j) with v in bag
-X_i, j on w's side; each common neighbour has bags on both sides, so it is
-in X_i, and X_i would hold k + 2 vertices. So a bag holds both and G + vw
-has the same decomposition. Joining and contracting keep tw <= k, so every
-graph reached has a vertex of degree <= k. On large sparse graphs it often
-proves in O(n^3) what the search cannot prove in n^2 states.
-
-Either way the witness is the lexicographically least minimum set.
+The witness is the lexicographically least minimum set.
 `tested` is the witness's 1-based rank among the nonempty vertex sets in
 size-then-lex order, computed from the witness alone by `_tested`: the
 number of candidates a size-ascending search would have tried, skipped
@@ -129,8 +116,7 @@ import math
 import time
 from typing import Iterator, NamedTuple
 
-from .graphs import (Graph, _reach_near, bits, components, induced_subgraph,
-                     mask_of)
+from .graphs import Graph, bits, components, induced_subgraph, mask_of, reach
 from .forcing import Rule, _close, _forces, _rule
 
 
@@ -175,7 +161,7 @@ def _forcing_sets_of_size(adj: tuple[int, ...], n: int, k: int, psd: bool,
                     or white == low):
                 # no standard force; nor a psd one unless white - v splits
                 left = white ^ low
-                if not psd or _reach_near(adj, left & -left, left)[0] == left:
+                if not psd or reach(adj, left & -left, left) == left:
                     rest ^= low
                     continue
             closed = _close(adj, base | low, full, psd)
@@ -255,16 +241,34 @@ def _numbers_differ(g: Graph) -> bool:
 def _treewidth_bound(adj: tuple[int, ...]) -> int:
     """A lower bound on tree-width, the contraction degeneracy with
     least-common-neighbour contraction (Bodlaender, Koster and Wolle, 2006):
-    _contract without joins, as no pair shares n neighbours. Every graph on
-    the way is a minor of the input, so no degree recorded exceeds tw(G)."""
-    return _contract(adj, len(adj))
+    take a least-degree vertex, record its degree, and contract it into the
+    neighbour it shares fewest neighbours with, or delete it if isolated;
+    ties go to the lowest id. Every graph on the way is a minor of the
+    input, so no degree recorded exceeds tw(G); return the largest."""
+    rows = list(adj)
+    deg = [row.bit_count() for row in rows]
+    left = list(range(len(rows)))
+    best = 0
+    while len(left) > best + 1:  # no degree left can exceed best
+        v = min(left, key=deg.__getitem__)
+        best = max(best, deg[v])
+        left.remove(v)
+        nbrs = rows[v]
+        if nbrs:
+            u = min(bits(nbrs), key=lambda w: (rows[w] & nbrs).bit_count())
+            for w in bits(nbrs):
+                rows[w] = rows[w] & ~(1 << v) | 1 << u
+                deg[w] = rows[w].bit_count()
+            rows[u] = (rows[u] | nbrs) & ~(1 << u)
+            deg[u] = rows[u].bit_count()
+    return best
 
 
 def _exceeds_treewidth(adj: tuple[int, ...], k: int) -> bool:
-    """True only if tw(G) > k: the search ends within its budget and finds
-    no elimination ordering of width <= k, or it runs out and the
-    improved-graph contraction proves it (see the module docstring). The
-    budget is C(n, k) states and at most n^2."""
+    """True only if tw(G) > k: the elimination search ends within its
+    budget of C(n, k) states, and at most n^2, and finds no ordering of
+    width <= k (see the module docstring). Out of budget it proves nothing
+    and returns False."""
     budget = min(math.comb(len(adj), k), len(adj) ** 2)
     dead: set[int] = set()  # alive sets whose graph has tree-width > k
 
@@ -292,55 +296,7 @@ def _exceeds_treewidth(adj: tuple[int, ...], k: int) -> bool:
         dead.add(alive)
         return False
 
-    return not fits(list(adj), (1 << len(adj)) - 1) or not budget and _contract(adj, k) > k
-
-
-def _contract(adj: tuple[int, ...], k: int) -> int:
-    """Take a least-degree vertex, record its degree, and contract it into
-    the neighbour it shares fewest neighbours with, or delete it if isolated;
-    ties go to the lowest id. Before each pick, join every non-adjacent pair
-    with more than k common neighbours; only pairs through u or u's new
-    neighbours gain common ones. Return the largest degree recorded,
-    stopping once it exceeds k."""
-    rows = list(adj)
-    deg = [row.bit_count() for row in rows]
-    left = list(range(len(rows)))
-    alive = dirty = (1 << len(rows)) - 1
-    best = 0
-    while len(left) > best + 1:  # no degree left can exceed best
-        while dirty and len(left) > k + 2:  # else no pair shares k + 1 neighbours
-            low = dirty & -dirty
-            dirty ^= low
-            x = low.bit_length() - 1
-            if deg[x] <= k:  # shares at most k neighbours with anyone
-                continue
-            row = rows[x]
-            cands = alive & ~row & ~low
-            while cands:
-                bit = cands & -cands
-                cands ^= bit
-                z = bit.bit_length() - 1
-                if (row & rows[z]).bit_count() > k:
-                    row |= bit
-                    rows[z] |= low
-                    dirty |= bit | low
-            rows[x], deg[x] = row, row.bit_count()
-        v = min(left, key=deg.__getitem__)
-        best = max(best, deg[v])
-        if best > k:
-            return best
-        left.remove(v)
-        alive ^= 1 << v
-        nbrs = rows[v]
-        if nbrs:
-            u = min(bits(nbrs), key=lambda w: (rows[w] & nbrs).bit_count())
-            dirty = nbrs & ~rows[u]  # u and its new neighbours
-            for w in bits(nbrs):
-                rows[w] = rows[w] & ~(1 << v) | 1 << u
-                deg[w] = rows[w].bit_count()
-            rows[u] = (rows[u] | nbrs) & ~(1 << u)
-            deg[u] = rows[u].bit_count()
-    return best
+    return not fits(list(adj), (1 << len(adj)) - 1)
 
 
 def _tested(n: int, witness: int) -> int:

@@ -117,13 +117,13 @@ class TestValidForces:
         # P5 with 2 blue has white parts {0, 1} and {3, 4}; source 2 sees
         # both, so the kernel splits each off once and lists its force into
         # each, in target order. With no source it splits nothing
-        reach_near, calls = forcing._reach_near, []
+        reach, calls = forcing.reach, []
 
         def counted(*args):
             calls.append(0)
-            return reach_near(*args)
+            return reach(*args)
 
-        monkeypatch.setattr(forcing, "_reach_near", counted)
+        monkeypatch.setattr(forcing, "reach", counted)
         adj, blue, white = path_graph(5).adj, 1 << 2, 0b11011
         assert list(_forces(adj, blue, white, True, 1 << 2)) == [(2, 1 << 1, 0b11), (2, 1 << 3, 0b11000)]
         assert len(calls) == 2

@@ -703,29 +703,43 @@ class TestSizeOne:
 
 
 class TestExceedsTreewidth:
-    """An elimination search within its budget, then the improved-graph
-    contraction if the search runs out, decides tw(G) > k, and a proof at
-    k = b ends the descent at size b + 1."""
+    """An elimination search within its budget decides tw(G) > k, and a
+    proof at k = b ends the descent at size b + 1."""
 
     def test_fires_only_above_exact_treewidth(self, exact_treewidths):
-        # and always above it: every pair is decided within the budget
-        pairs = fired = 0
+        # never True where tw <= k, and exact at every k >= 1; at k = 0 the
+        # budget is C(n, 0) = 1 state, so a graph with an edge and an
+        # isolated vertex gives up there
+        pairs = fired = gave_up = 0
         for g, tw in exact_treewidths:
             for k in range(g.n):
-                assert solver._exceeds_treewidth(g.adj, k) == (tw > k), (g, k)
+                exceeds = solver._exceeds_treewidth(g.adj, k)
+                assert tw > k or not exceeds, (g, k)
+                assert exceeds == (tw > k) or not k, (g, k)
                 pairs += 1
-                fired += tw > k
-        assert len(exact_treewidths) == 1252 and (pairs, fired) == (8475, 3386)
+                fired += exceeds
+                gave_up += exceeds != (tw > k)
+        assert len(exact_treewidths) == 1252
+        assert (pairs, fired, gave_up) == (8475, 3184, 202)
+
+    def test_exact_at_the_bound_where_the_search_runs_it(self, exact_treewidths):
+        # the one point _search_min asks about: k = b with n > b + 2
+        pairs = fired = 0
+        for g, tw in exact_treewidths:
+            b = solver._treewidth_bound(g.adj)
+            if g.n > b + 2:
+                exceeds = solver._exceeds_treewidth(g.adj, b)
+                assert exceeds == (tw > b), g
+                pairs += 1
+                fired += exceeds
+        assert (pairs, fired) == (1209, 1)
 
     def test_known_values(self):
         g = parse_graph6("FNz~o")  # tree-width 5, contraction degeneracy 4
         assert solver._exceeds_treewidth(g.adj, 4)
         assert not solver._exceeds_treewidth(g.adj, 5)
-        # tree-width 5, bound 4; the contraction proves tw > 4 only with a
-        # join at a new neighbour of a merged vertex, not only at the merged one
-        g = parse_graph6("HSkm^LT")
+        g = parse_graph6("HSkm^LT")  # tree-width 5, bound 4
         assert solver._treewidth_bound(g.adj) == 4
-        assert solver._contract(g.adj, 4) > 4
         assert solver._exceeds_treewidth(g.adj, 4)
         assert solver._exceeds_treewidth(complete_graph(7).adj, 5)
         assert not solver._exceeds_treewidth(complete_graph(7).adj, 6)
@@ -755,9 +769,11 @@ class TestExceedsTreewidth:
         assert len(calls) == 35
         assert all(n > k + 2 for n, k in calls)
 
-    # every connected class on 8 vertices on which the improved-graph
-    # contraction, the check's fallback, fires at k = b, found by
-    # enumerating n = 8 once, so that this suite need not
+    # the 63 connected classes on 8 vertices with tw > b, on all of which
+    # the search proves it at k = b within its budget, found by enumerating
+    # n = 8 once, so that this suite need not; they are split as the
+    # improved-graph contraction of Clautiaux et al. (2003), which the check
+    # does not use, sees them: it proves tw > b on these 50
     FIRES_AT_EIGHT = (
         "G@\\r~w", "G@^vvo", "G@\\~vg", "G@\\~vk", "GDh~vo", "GDl~fS", "GD^fvw",
         "GD^f~w", "GBXzt{", "GBX|~o", "GBX|~s", "GBXz~o", "GBzd~w", "GBnf^w",
@@ -768,9 +784,7 @@ class TestExceedsTreewidth:
         "Geqzvo", "Ges~Vg", "Ges~Vk", "G`ze}w", "G`zV]w", "G`zV~w", "G`\\r|w",
         "Gt\\~~w",
     )
-    # the other 13 connected classes on 8 vertices with tw > b, on which the
-    # contraction does not fire and only the search proves it, found the
-    # same way
+    # the other 13, on which that contraction proves nothing
     FIRES_NEWLY_AT_EIGHT = (
         "G?Lruo", "GCrb`o", "G@Xucw", "G@Xs}c", "GD^fnW", "GBnnfs", "GT\\~Uk",
         "GRpk~k", "GRY^]w", "GIN\\vo", "GIm~vg", "GMj\\r{", "G]hky{",
@@ -818,41 +832,19 @@ class TestExceedsTreewidth:
         assert (report.value, report.witness, report.tested) == (5, witness, tested)
         assert min(sizes) == 5
 
-    def test_contraction_once_the_search_gives_up(self, monkeypatch):
-        # with no budget only the contraction can fire: it proves the 50
-        # classes and none of the 13
-        monkeypatch.setattr(solver, "math", SimpleNamespace(comb=lambda n, k: 0))
-        for s in self.FIRES_AT_EIGHT + self.FIRES_NEWLY_AT_EIGHT:
-            g = parse_graph6(s)
-            fired = solver._exceeds_treewidth(g.adj, solver._treewidth_bound(g.adj))
-            assert fired is (s in self.FIRES_AT_EIGHT), s
-
-    def test_contraction_after_the_capped_search(self, monkeypatch):
-        # a random connected graph with n = 40, 78 edges and b = 6: a search
-        # with C(40, 6) states took 85 s to prove tw > 6; this one gives up
-        # after 40^2 = 1,600, and the contraction proves it
-        g = parse_graph6("goOAOA?@??@B?G?@?_???oG??G??H?C@OGB???A??A??G@?AGC_?OSG@??W???GA??"
-                         "`??_?Oo?G?@?_UP_C??@????D????_?D`??????O?__?_OSOO????C_???A??????")
-        assert (g.n, g.edge_count, solver._treewidth_bound(g.adj)) == (40, 78, 6)
-        assert solver._exceeds_treewidth(g.adj, 6)
-        monkeypatch.setattr(solver, "_contract", lambda adj, k: 0)
-        assert not solver._exceeds_treewidth(g.adj, 6)
-
     def test_search_capped_at_n_squared(self):
-        # six forcing chains grown on 25 vertices, with b = 5 and Z = 6: the
-        # contraction does not fire, and a search with the C(25, 5) = 53,130
-        # states of the scan proves tw > 5 after 710 states; at most
-        # 25^2 = 625 are allowed, and the contraction proves nothing either
+        # six forcing chains grown on 25 vertices, with b = 5 and Z = 6: a
+        # search with the C(25, 5) = 53,130 states of the scan proves tw > 5
+        # after 710 states; at most 25^2 = 625 are allowed, so it gives up
         g = parse_graph6("X??GcHAJOB?EA_G@_?h?_?_K_GWCA_?OgA??G?@O??_c?ACG?Co")
-        assert (g.n, solver._treewidth_bound(g.adj), solver._contract(g.adj, 5)) == (25, 5, 5)
+        assert (g.n, solver._treewidth_bound(g.adj)) == (25, 5)
         assert not solver._exceeds_treewidth(g.adj, 5)
 
     @pytest.mark.parametrize("rule", list(Rule), ids=lambda r: r.value)
     def test_out_of_budget_proves_nothing(self, monkeypatch, rule):
         # b = 4 < tw = 5, and the search needs 8 of its min(C(8, 4), 8^2) = 64
-        # states to prove it: with fewer it gives up, the contraction does
-        # not fire on this graph either, size 4 is scanned as it would be
-        # without the check, and the search stays exact
+        # states to prove it: with fewer it gives up, size 4 is scanned as
+        # it would be without the check, and the search stays exact
         g = parse_graph6("GD^fnW")
         assert (solver._treewidth_bound(g.adj), naive_treewidth(g)) == (4, 5)
         value, combo, tried = naive_search(g, rule.value)
